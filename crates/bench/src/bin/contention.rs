@@ -7,8 +7,9 @@
 //! the sweep (default 1/2/4/8/16). Per-shard byte counters must be
 //! bit-identical across *all* thread counts — the binary asserts it run
 //! by run, so a scaling number is only ever reported for a provably
-//! deterministic configuration. Results land in `BENCH_PR8.json`
-//! (`--out`): deterministic per-shard/aggregate counters plus a
+//! deterministic configuration. Results land in `--out` (default
+//! `target/contention.json`; the tracked `BENCH_PR8.json` is written only
+//! when named): deterministic per-shard/aggregate counters plus a
 //! machine-dependent `throughput` array per policy.
 //!
 //! After the timed (detached) reps, each thread count gets one
@@ -36,7 +37,7 @@
 //! Flags: `--scale <f>` (default 1/16), `--days <n>` (default 30),
 //! `--shards <n>` (default 16), `--threads <a,b,c>` (default
 //! `1,2,4,8,16`), `--reps <n>` best-of timed runs (default 3),
-//! `--out <path>` (default `BENCH_PR8.json`), `--bundle <path>`,
+//! `--out <path>` (default `target/contention.json`), `--bundle <path>`,
 //! `--check <path>`.
 
 use std::sync::Arc;
@@ -448,7 +449,7 @@ fn main() {
     let days: u64 = arg_flag("days").unwrap_or(30);
     let shards: usize = arg_flag("shards").unwrap_or(16);
     let reps: u32 = arg_flag("reps").unwrap_or(3).max(1);
-    let out: String = arg_flag("out").unwrap_or_else(|| "BENCH_PR8.json".to_string());
+    let out: String = arg_flag("out").unwrap_or_else(|| "target/contention.json".to_string());
     let bundle_out: Option<String> = arg_flag("bundle");
     let check: Option<String> = arg_flag("check");
     let threads = parse_threads();
@@ -536,8 +537,7 @@ fn main() {
     if let Some(golden_path) = check {
         vcdn_bench::baseline::enforce_golden("contention", &json, &golden_path, &TIMING);
     }
-    std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("[contention] wrote {out}");
+    vcdn_bench::write_result("contention", &out, &json);
     if let Some(path) = bundle_out {
         let doc: String = rows.iter().map(|p| p.bundle_jsonl.as_str()).collect();
         std::fs::write(&path, doc).unwrap_or_else(|e| panic!("write {path}: {e}"));

@@ -1,8 +1,9 @@
 //! Tracked throughput baseline: replays the standard generated workload
 //! through all four policies (LRU, xLRU, Cafe, Psychic) single-threaded,
 //! reporting simulated requests/sec and steady-state efficiency per
-//! policy, and writes the result as JSON (`BENCH_PR2.json` by default) so
-//! the repo carries a measured perf trajectory from PR 2 onward.
+//! policy, and writes the result as JSON (`target/perf_baseline.json` by
+//! default, so a bare run never overwrites the tracked `BENCH_PR2.json`
+//! that `--check` compares against).
 //!
 //! Replay *metrics* (byte counters, efficiency) are deterministic; only
 //! the timing fields vary across machines. `--check <file>` re-verifies
@@ -18,7 +19,7 @@
 //!
 //! Flags: `--scale <f>` (default 1/16), `--days <n>` (default 30),
 //! `--reps <n>` timed replays per policy, best-of (default 3),
-//! `--out <path>` (default `BENCH_PR2.json`), `--check <path>`.
+//! `--out <path>` (default `target/perf_baseline.json`), `--check <path>`.
 
 use std::time::Instant;
 
@@ -141,7 +142,7 @@ fn main() {
     let scale = Scale::from_args();
     let days: u64 = arg_flag("days").unwrap_or(30);
     let reps: u32 = arg_flag("reps").unwrap_or(3).max(1);
-    let out: String = arg_flag("out").unwrap_or_else(|| "BENCH_PR2.json".to_string());
+    let out: String = arg_flag("out").unwrap_or_else(|| "target/perf_baseline.json".to_string());
     let check: Option<String> = arg_flag("check");
 
     let k = ChunkSize::DEFAULT;
@@ -222,6 +223,5 @@ fn main() {
     if let Some(golden_path) = check {
         vcdn_bench::baseline::enforce_golden("perf_baseline", &json, &golden_path, &TIMING);
     }
-    std::fs::write(&out, format!("{json}\n")).unwrap_or_else(|e| panic!("write {out}: {e}"));
-    eprintln!("[perf_baseline] wrote {out}");
+    vcdn_bench::write_result("perf_baseline", &out, &json);
 }

@@ -83,6 +83,20 @@ pub fn arg_switch(name: &str) -> bool {
     std::env::args().any(|a| a == format!("--{name}"))
 }
 
+/// Writes a bench result document (plus a trailing newline) to `path`,
+/// creating its directory first, and logs the path under `[tool]`.
+///
+/// # Panics
+///
+/// Panics if the directory or file cannot be written.
+pub fn write_result(tool: &str, path: &str, json: impl std::fmt::Display) {
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {}: {e}", dir.display()));
+    }
+    std::fs::write(path, format!("{json}\n")).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    eprintln!("[{tool}] wrote {path}");
+}
+
 /// Experiment duration in days (`--days`, default 30 — the paper's
 /// "one month period").
 pub fn arg_days() -> u64 {

@@ -189,14 +189,26 @@ impl Catalog {
     /// Builds a weighted sampler over videos uploaded by time `t`, using
     /// effective weights at `t`. Returns `None` if no video is live yet.
     pub fn sampler_at(&self, t: Timestamp) -> Option<AliasSampler> {
-        let live: Vec<(usize, f64)> = self
-            .videos
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.birth <= t)
-            .map(|(i, v)| (i, self.effective_weight(v, t)))
-            .collect();
-        AliasSampler::new(live)
+        let mut sampler = AliasSampler::default();
+        self.rebuild_sampler_at(t, &mut sampler).then_some(sampler)
+    }
+
+    /// [`Catalog::sampler_at`] into a reused sampler: rebuilds `sampler`
+    /// over the videos uploaded by `t` and returns whether any is live.
+    /// The result is identical to a fresh `sampler_at(t)`.
+    pub(crate) fn rebuild_sampler_at(&self, t: Timestamp, sampler: &mut AliasSampler) -> bool {
+        // Videos are stored in birth order, so the live set is a prefix.
+        debug_assert!(
+            self.videos.is_sorted_by_key(|v| v.birth),
+            "catalog must be birth-ordered"
+        );
+        let live = self.videos.partition_point(|v| v.birth <= t);
+        sampler.rebuild(
+            self.videos[..live]
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (i, self.effective_weight(v, t))),
+        )
     }
 
     /// Looks up the full video record.
@@ -206,6 +218,9 @@ impl Catalog {
 }
 
 /// Walker's alias method for O(1) weighted sampling over a fixed index set.
+///
+/// A sampler can be rebuilt in place ([`AliasSampler::rebuild`]), reusing
+/// its buffers; a rebuilt table is identical to a freshly built one.
 ///
 /// # Examples
 ///
@@ -217,57 +232,104 @@ impl Catalog {
 /// let idx = s.sample(&mut r);
 /// assert!(idx == 0 || idx == 5);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AliasSampler {
     indices: Vec<usize>,
     prob: Vec<f64>,
     alias: Vec<u32>,
+    // Construction stacks, empty between rebuilds; kept for their capacity.
+    small: Vec<u32>,
+    large: Vec<u32>,
 }
 
 impl AliasSampler {
+    /// An empty sampler whose rebuilds over up to `n` entries do not
+    /// allocate.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        AliasSampler {
+            indices: Vec::with_capacity(n),
+            prob: Vec::with_capacity(n),
+            alias: Vec::with_capacity(n),
+            small: Vec::with_capacity(n),
+            large: Vec::with_capacity(n),
+        }
+    }
+
     /// Builds the alias table from `(index, weight)` pairs. Entries with
     /// non-finite or non-positive weight are dropped; returns `None` if no
     /// positive-weight entry remains.
     pub fn new(entries: Vec<(usize, f64)>) -> Option<Self> {
-        let filtered: Vec<(usize, f64)> = entries
-            .into_iter()
-            .filter(|(_, w)| w.is_finite() && *w > 0.0)
-            .collect();
-        if filtered.is_empty() {
-            return None;
+        let mut sampler = AliasSampler::default();
+        sampler.rebuild(entries).then_some(sampler)
+    }
+
+    /// Rebuilds the table in place from `(index, weight)` pairs, dropping
+    /// entries with non-finite or non-positive weight like
+    /// [`AliasSampler::new`]. Returns whether any entry remains; if none
+    /// does, the sampler is empty and must not be sampled.
+    pub fn rebuild(&mut self, entries: impl IntoIterator<Item = (usize, f64)>) -> bool {
+        let AliasSampler {
+            indices,
+            prob,
+            alias,
+            small,
+            large,
+        } = self;
+        indices.clear();
+        prob.clear();
+        // `prob` holds the raw weights until they are normalised below.
+        for (i, w) in entries {
+            if w.is_finite() && w > 0.0 {
+                indices.push(i);
+                prob.push(w);
+            }
         }
-        let n = filtered.len();
-        let total: f64 = filtered.iter().map(|(_, w)| w).sum();
-        let mut prob: Vec<f64> = filtered.iter().map(|(_, w)| w / total * n as f64).collect();
-        let indices: Vec<usize> = filtered.iter().map(|(i, _)| *i).collect();
-        let mut alias = vec![0u32; n];
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for (i, &p) in prob.iter().enumerate() {
-            if p < 1.0 {
+        let n = prob.len();
+        alias.clear();
+        alias.resize(n, 0);
+        if n == 0 {
+            return false;
+        }
+        let total: f64 = prob.iter().sum();
+        small.clear();
+        large.clear();
+        for (i, p) in prob.iter_mut().enumerate() {
+            *p = *p / total * n as f64;
+            if *p < 1.0 {
                 small.push(i as u32);
             } else {
                 large.push(i as u32);
             }
         }
-        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-            alias[s as usize] = l;
-            prob[l as usize] = (prob[l as usize] + prob[s as usize]) - 1.0;
-            if prob[l as usize] < 1.0 {
-                small.push(l);
+        // Pair a small entry with a large one, which tops up the small
+        // entry's slot and goes back on the small or large stack by its
+        // remainder. The entry pushed back is the next one popped from that
+        // stack, so it is carried in `s` or `l` (with its probability in
+        // `pl`) instead: the stacks only shrink. As with two plain pops, the
+        // loop ends when one stack runs dry, discarding the other's entry.
+        let mut s = small.pop();
+        let mut l = large.pop();
+        let mut pl = l.map_or(0.0, |l| prob[l as usize]);
+        while let (Some(si), Some(li)) = (s, l) {
+            alias[si as usize] = li;
+            pl = (pl + prob[si as usize]) - 1.0;
+            if pl < 1.0 {
+                prob[li as usize] = pl;
+                s = Some(li);
+                l = large.pop();
+                pl = l.map_or(0.0, |l| prob[l as usize]);
             } else {
-                large.push(l);
+                s = small.pop();
             }
         }
+        if let Some(li) = l {
+            prob[li as usize] = pl;
+        }
         // Numerical leftovers: everything remaining keeps probability 1.
-        for s in small.into_iter().chain(large) {
+        for s in small.drain(..).chain(large.drain(..)) {
             prob[s as usize] = 1.0;
         }
-        Some(AliasSampler {
-            indices,
-            prob,
-            alias,
-        })
+        true
     }
 
     /// Number of sampleable entries.
@@ -275,7 +337,8 @@ impl AliasSampler {
         self.indices.len()
     }
 
-    /// Whether the sampler has no entries (never: `new` returns `None`).
+    /// Whether the sampler has no entries (only after a [`AliasSampler::rebuild`]
+    /// that returned `false`; `new` returns `None` instead).
     pub fn is_empty(&self) -> bool {
         self.indices.is_empty()
     }
@@ -405,6 +468,68 @@ mod tests {
         assert!((f7 - 0.1).abs() < 0.01, "f7={f7}");
         assert!((f8 - 0.2).abs() < 0.01, "f8={f8}");
         assert!((f9 - 0.7).abs() < 0.01, "f9={f9}");
+    }
+
+    /// The textbook construction, written out independently: filter, sum,
+    /// normalise, then pair small with large entries off two stacks.
+    fn reference_table(entries: &[(usize, f64)]) -> (Vec<usize>, Vec<f64>, Vec<u32>) {
+        let kept: Vec<(usize, f64)> = entries
+            .iter()
+            .copied()
+            .filter(|(_, w)| w.is_finite() && *w > 0.0)
+            .collect();
+        let n = kept.len();
+        let total: f64 = kept.iter().map(|(_, w)| w).sum();
+        let mut prob: Vec<f64> = kept.iter().map(|(_, w)| w / total * n as f64).collect();
+        let mut alias = vec![0u32; n];
+        let (mut small, mut large): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+        for (i, &p) in prob.iter().enumerate() {
+            if p < 1.0 {
+                small.push(i as u32);
+            } else {
+                large.push(i as u32);
+            }
+        }
+        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
+            alias[s as usize] = l;
+            prob[l as usize] = (prob[l as usize] + prob[s as usize]) - 1.0;
+            if prob[l as usize] < 1.0 {
+                small.push(l);
+            } else {
+                large.push(l);
+            }
+        }
+        for s in small.into_iter().chain(large) {
+            prob[s as usize] = 1.0;
+        }
+        (kept.iter().map(|(i, _)| *i).collect(), prob, alias)
+    }
+
+    #[test]
+    fn rebuild_is_bit_identical_to_reference_construction() {
+        let mut rng = DetRng::new(11);
+        let mut sampler = AliasSampler::default();
+        for _ in 0..200 {
+            let n = rng.below(500) as usize;
+            let entries: Vec<(usize, f64)> = (0..n)
+                .map(|i| {
+                    (
+                        i,
+                        if rng.chance(0.1) {
+                            -1.0
+                        } else {
+                            rng.f64() * 1e3
+                        },
+                    )
+                })
+                .collect();
+            sampler.rebuild(entries.iter().copied());
+            let (indices, prob, alias) = reference_table(&entries);
+            assert_eq!(sampler.indices, indices);
+            let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sampler.prob), bits(&prob));
+            assert_eq!(sampler.alias, alias);
+        }
     }
 
     #[test]

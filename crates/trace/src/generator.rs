@@ -7,20 +7,49 @@
 //! weights change continuously, so the weighted sampler is rebuilt once per
 //! *epoch* (one hour), which is far finer than the popularity-decay time
 //! constant.
+//!
+//! # Pipeline
+//!
+//! Rebuilding an epoch's sampler — one age-decay weight per live video,
+//! then a Walker alias table — is nearly all of the generator's work, while
+//! each epoch serves only a few dozen sessions. So the samplers are built
+//! ahead of use on parallel *lanes*: with `L` lanes, lane `l` builds the
+//! samplers of the epochs `l, l + L, l + 2L, …` (counting only epochs that
+//! start a session) into two buffers that it recycles through a bounded
+//! channel. The calling thread draws the videos, expands the sessions and
+//! consumes the samplers strictly in epoch order.
+//!
+//! A sampler is a pure function of the catalog and the epoch's mid-point,
+//! and only the calling thread touches the video-pick and session RNG
+//! streams, so the trace is bit-identical for every lane count
+//! ([`TraceGenerator::generate_on_lanes`]) and therefore for every host.
+//! [`TraceGenerator::generate`] runs one lane per available core, at most
+//! four.
+
+use std::ops::Range;
+use std::sync::mpsc::sync_channel;
+use std::thread;
 
 use vcdn_types::{DurationMs, Request, Timestamp};
 
 use crate::{
-    catalog::Catalog,
+    catalog::{AliasSampler, Catalog},
     dist::sample_exp,
     profile::ServerProfile,
     rng::DetRng,
-    session::expand_session,
+    session::expand_session_into,
     trace::{Trace, TraceMeta},
 };
 
 /// Sampler-rebuild granularity.
 const EPOCH: DurationMs = DurationMs::HOUR;
+
+/// Most lanes [`TraceGenerator::generate`] builds samplers on.
+const MAX_LANES: usize = 4;
+
+/// Samplers each lane circulates: the consumer reads one while the lane
+/// fills the other.
+const BUFFERS_PER_LANE: usize = 2;
 
 /// Deterministic workload generator for one server profile.
 ///
@@ -73,8 +102,22 @@ impl TraceGenerator {
         &self.profile
     }
 
-    /// Generates `duration` worth of requests starting at the replay epoch.
+    /// Generates `duration` worth of requests starting at the replay epoch,
+    /// building the epoch samplers on one lane per available core (at most
+    /// four). The trace does not depend on the lane count.
     pub fn generate(&self, duration: DurationMs) -> Trace {
+        let lanes = thread::available_parallelism().map_or(1, |n| n.get().min(MAX_LANES));
+        self.generate_on_lanes(duration, lanes)
+    }
+
+    /// [`TraceGenerator::generate`] with the epoch samplers built on
+    /// `lanes` parallel lanes. Every lane count yields the same trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes == 0`.
+    pub fn generate_on_lanes(&self, duration: DurationMs, lanes: usize) -> Trace {
+        assert!(lanes > 0, "lane count must be > 0");
         let p = &self.profile;
         let mut root = DetRng::new(self.seed ^ fnv1a(&p.name));
         let mut catalog_rng = root.fork();
@@ -102,36 +145,38 @@ impl TraceGenerator {
             }
         }
 
-        // Expand sessions epoch by epoch with a per-epoch weighted sampler.
-        let mut requests: Vec<Request> = Vec::new();
+        // The epochs that start a session: their mid-points and sessions.
+        let mut mids: Vec<Timestamp> = Vec::new();
+        let mut sessions: Vec<Range<usize>> = Vec::new();
         let mut cursor = 0usize;
         let mut epoch_start = Timestamp::EPOCH;
         while epoch_start.as_millis() < duration.as_millis() {
             let epoch_end = epoch_start + EPOCH;
-            let mid = Timestamp(epoch_start.as_millis() + EPOCH.as_millis() / 2);
-            let slice_end = starts[cursor..]
-                .iter()
-                .position(|s| *s >= epoch_end)
-                .map(|off| cursor + off)
-                .unwrap_or(starts.len());
+            let slice_end = cursor + starts[cursor..].partition_point(|s| *s < epoch_end);
             if slice_end > cursor {
-                if let Some(sampler) = catalog.sampler_at(mid) {
-                    for &start in &starts[cursor..slice_end] {
-                        let idx = sampler.sample(&mut pick_rng);
-                        let video = catalog.get(idx);
-                        requests.extend(expand_session(
-                            video.id,
-                            video.size_bytes,
-                            start,
-                            &p.session,
-                            &mut session_rng,
-                        ));
-                    }
-                }
+                mids.push(Timestamp(epoch_start.as_millis() + EPOCH.as_millis() / 2));
+                sessions.push(cursor..slice_end);
             }
             cursor = slice_end;
             epoch_start = epoch_end;
         }
+
+        // Expand sessions epoch by epoch with each epoch's weighted sampler.
+        let mut requests: Vec<Request> = Vec::new();
+        pipeline_samplers(&catalog, &mids, lanes, |epoch, sampler| {
+            for &start in &starts[sessions[epoch].clone()] {
+                let idx = sampler.sample(&mut pick_rng);
+                let video = catalog.get(idx);
+                expand_session_into(
+                    &mut requests,
+                    video.id,
+                    video.size_bytes,
+                    start,
+                    &p.session,
+                    &mut session_rng,
+                );
+            }
+        });
 
         // Sessions interleave; restore global time order (stable to keep
         // per-session request order on timestamp ties).
@@ -152,6 +197,58 @@ impl TraceGenerator {
             requests,
         )
     }
+}
+
+/// Builds the sampler of every mid-point in `mids` on `lanes` scoped
+/// threads and hands each live one to `consume` on the calling thread, in
+/// order, with its index in `mids`. Epochs with no live video are skipped.
+fn pipeline_samplers(
+    catalog: &Catalog,
+    mids: &[Timestamp],
+    lanes: usize,
+    mut consume: impl FnMut(usize, &AliasSampler),
+) {
+    let lanes = lanes.min(mids.len());
+    if lanes == 0 {
+        return;
+    }
+    thread::scope(|scope| {
+        let channels: Vec<_> = (0..lanes)
+            .map(|lane| {
+                let (filled_tx, filled_rx) = sync_channel::<(AliasSampler, bool)>(BUFFERS_PER_LANE);
+                let (empty_tx, empty_rx) = sync_channel::<AliasSampler>(BUFFERS_PER_LANE);
+                // Sized for the whole catalog up front, here on the calling
+                // thread, so the lanes never allocate.
+                for _ in 0..BUFFERS_PER_LANE {
+                    empty_tx
+                        .send(AliasSampler::with_capacity(catalog.len()))
+                        .expect("lane receiver is alive");
+                }
+                scope.spawn(move || {
+                    for &mid in mids.iter().skip(lane).step_by(lanes) {
+                        // Both fail only once the consumer is gone.
+                        let Ok(mut sampler) = empty_rx.recv() else {
+                            return;
+                        };
+                        let live = catalog.rebuild_sampler_at(mid, &mut sampler);
+                        if filled_tx.send((sampler, live)).is_err() {
+                            return;
+                        }
+                    }
+                });
+                (filled_rx, empty_tx)
+            })
+            .collect();
+        for epoch in 0..mids.len() {
+            let (filled, empty) = &channels[epoch % lanes];
+            let (sampler, live) = filled.recv().expect("sampler lane panicked");
+            if live {
+                consume(epoch, &sampler);
+            }
+            // Fails once the lane has built its last sampler and exited.
+            let _ = empty.send(sampler);
+        }
+    });
 }
 
 #[cfg(test)]

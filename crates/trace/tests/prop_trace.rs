@@ -6,6 +6,7 @@
 //! failures print the case seed so a run can be reproduced.
 
 use vcdn_trace::{
+    catalog::AliasSampler,
     dist::{sample_exp, sample_watch_fraction, LogNormal, Pareto, Zipf},
     downsample,
     rng::DetRng,
@@ -15,7 +16,7 @@ use vcdn_trace::{
 use vcdn_types::{ChunkSize, DurationMs, Timestamp, VideoId};
 
 /// Runs `cases` iterations, handing each a fresh seed from a meta-RNG.
-fn for_each_seed(cases: usize, test: impl Fn(&mut DetRng, u64)) {
+fn for_each_seed(cases: usize, mut test: impl FnMut(&mut DetRng, u64)) {
     let mut meta = DetRng::new(0x7ACE_0901);
     for _ in 0..cases {
         let seed = meta.next_u64();
@@ -101,6 +102,44 @@ fn watch_fraction_in_unit_interval() {
         for _ in 0..32 {
             let f = sample_watch_fraction(rng, p_full, mean);
             assert!(f > 0.0 && f <= 1.0, "seed {seed}");
+        }
+    });
+}
+
+#[test]
+fn rebuilt_alias_sampler_equals_fresh_one() {
+    // One sampler reused across every case, so each rebuild starts from
+    // the previous case's buffers.
+    let mut reused = AliasSampler::default();
+    for_each_seed(256, |rng, seed| {
+        let n = rng.below(300) as usize;
+        let entries: Vec<(usize, f64)> = (0..n)
+            .map(|i| {
+                let w = match rng.below(8) {
+                    0 => 0.0,
+                    1 => -rng.f64() * 10.0,
+                    2 => f64::NAN,
+                    3 => f64::INFINITY,
+                    4 => rng.f64() * 1e-300,
+                    _ => rng.f64() * 1e6,
+                };
+                (i * 3 + 1, w)
+            })
+            .collect();
+        let fresh = AliasSampler::new(entries.clone());
+        let live = reused.rebuild(entries.iter().copied());
+        assert_eq!(live, fresh.is_some(), "seed {seed}");
+        let Some(fresh) = fresh else {
+            assert!(reused.is_empty(), "seed {seed}");
+            return;
+        };
+        assert_eq!(reused, fresh, "seed {seed}");
+        let (mut a, mut b) = (DetRng::new(seed), DetRng::new(seed));
+        for _ in 0..64 {
+            let idx = reused.sample(&mut a);
+            assert_eq!(idx, fresh.sample(&mut b), "seed {seed}");
+            let w = entries[(idx - 1) / 3].1;
+            assert!(w.is_finite() && w > 0.0, "seed {seed}: drew weight {w}");
         }
     });
 }
