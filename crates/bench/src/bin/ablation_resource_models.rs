@@ -18,7 +18,7 @@ use vcdn_sim::report::{bytes, eff, Table};
 use vcdn_sim::runner::Cell;
 use vcdn_sim::{DiskIoModel, EgressModel, ReplayReport};
 use vcdn_trace::ServerProfile;
-use vcdn_types::{ChunkSize, CostModel};
+use vcdn_types::{ChunkSize, CostModel, TrafficCounter};
 
 fn main() {
     let scale = Scale::from_args();
@@ -34,7 +34,7 @@ fn main() {
     let peak = probe
         .windows
         .iter()
-        .map(|w| w.traffic.served_bytes())
+        .map(TrafficCounter::served_bytes)
         .max()
         .unwrap_or(0);
     let egress = EgressModel {

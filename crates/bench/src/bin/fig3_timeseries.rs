@@ -78,9 +78,9 @@ fn main() {
         for r in &reports {
             match r.windows.get(h) {
                 Some(w) => {
-                    row.push(format!("{:.1}", w.traffic.ingress_pct()));
-                    row.push(format!("{:.1}", w.traffic.redirect_pct()));
-                    row.push(eff(w.traffic.efficiency(costs)));
+                    row.push(format!("{:.1}", w.ingress_pct()));
+                    row.push(format!("{:.1}", w.redirect_pct()));
+                    row.push(eff(w.efficiency(costs)));
                 }
                 None => row.extend(["-".into(), "-".into(), "-".into()]),
             }

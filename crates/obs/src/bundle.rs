@@ -164,7 +164,7 @@ mod tests {
             err: 2,
         });
         let mut w = crate::window::WindowStats::empty(0);
-        w.traffic.record_hit(80);
+        w.traffic.hit_bytes += 80;
         w.traffic.served_requests += 1;
         w.max_stream_requests = 1;
         bundle.windows.push(WindowRecord::from_stats(

@@ -109,7 +109,7 @@ impl MetricSel {
     /// request streams (shard count; 1 for the unsharded replayer).
     pub fn value(self, w: &WindowStats, costs: CostModel, streams: u64) -> f64 {
         match self {
-            MetricSel::Efficiency => w.efficiency(costs),
+            MetricSel::Efficiency => w.traffic.efficiency(costs),
             MetricSel::RedirectRate => w.redirect_rate(),
             MetricSel::QueueGapP99 => w.queue_gap.quantile_upper_bound(0.99) as f64,
             MetricSel::ChurnChunks => w.churn_chunks() as f64,
@@ -437,8 +437,8 @@ mod tests {
 
     fn window(index: u64, hit: u64, redirect: u64) -> WindowStats {
         let mut w = WindowStats::empty(index);
-        w.traffic.record_hit(hit);
-        w.traffic.record_redirect(redirect);
+        w.traffic.hit_bytes += hit;
+        w.traffic.redirect_bytes += redirect;
         if redirect > 0 {
             w.traffic.redirected_requests += 1;
         }

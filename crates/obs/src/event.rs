@@ -13,6 +13,8 @@
 use vcdn_types::json::{Json, ToJson};
 use vcdn_types::Request;
 
+use crate::window::WindowInput;
+
 /// The cost/age detail a policy computed for its most recent decision.
 ///
 /// Policies that skip the cost comparison on a given request (warm-up
@@ -108,31 +110,30 @@ pub struct DecisionEvent {
 
 impl DecisionEvent {
     /// Builds an event from the replayed request plus the policy's
-    /// decision outputs. `chunk`/`chunks` describe the request's chunk
-    /// range under the replay's chunk size.
-    #[allow(clippy::too_many_arguments)]
+    /// decision outputs. `chunk` is the request's first chunk under the
+    /// replay's chunk size; `input` is the request's accounted step, which
+    /// supplies its size in chunks and its evictions.
     pub fn from_decision(
         seq: u64,
         request: &Request,
         chunk: u32,
-        chunks: u32,
         policy: &'static str,
         verdict: Verdict,
         detail: DecisionDetail,
-        evicted: u64,
+        input: &WindowInput,
     ) -> DecisionEvent {
         DecisionEvent {
             seq,
             t_ms: request.t.as_millis(),
             video: request.video.0,
             chunk,
-            chunks,
+            chunks: input.request_chunks as u32,
             policy,
             verdict,
             cost_serve: detail.cost_serve,
             cost_redirect: detail.cost_redirect,
             cache_age_ms: detail.cache_age_ms,
-            evicted,
+            evicted: input.evicted_chunks,
         }
     }
 }

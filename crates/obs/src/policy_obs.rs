@@ -94,48 +94,6 @@ impl PolicyObs {
         self.enabled
     }
 
-    /// Records a serve decision with its hit/fill chunk split.
-    #[inline]
-    pub fn record_serve(&self, hit_chunks: u64, fill_chunks: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.sink.counter_add(self.serve_requests, 1);
-        self.sink.counter_add(self.hit_chunks, hit_chunks);
-        self.sink.counter_add(self.fill_chunks, fill_chunks);
-        self.sink.observe(self.fill_per_request, fill_chunks);
-    }
-
-    /// Records a redirect decision.
-    #[inline]
-    pub fn record_redirect(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.sink.counter_add(self.redirect_requests, 1);
-    }
-
-    /// Records one eviction batch of `chunks` chunks (call once per
-    /// cleanup pass that evicted anything).
-    #[inline]
-    pub fn record_eviction_batch(&self, chunks: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.sink.counter_add(self.evicted_chunks, chunks);
-        self.sink.observe(self.eviction_batch, chunks);
-    }
-
-    /// Updates the disk-occupancy gauge (chunks resident after the
-    /// current decision).
-    #[inline]
-    pub fn set_occupancy(&self, chunks: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.sink.gauge_set(self.occupancy, chunks);
-    }
-
     /// Records a full decision outcome — verdict counters, hit/fill
     /// chunks, the eviction batch if any — plus the resulting disk
     /// occupancy. The one call a policy makes per request.
@@ -146,14 +104,19 @@ impl PolicyObs {
         }
         match decision {
             Decision::Serve(o) => {
-                self.record_serve(o.hit_chunks, o.filled_chunks);
+                self.sink.counter_add(self.serve_requests, 1);
+                self.sink.counter_add(self.hit_chunks, o.hit_chunks);
+                self.sink.counter_add(self.fill_chunks, o.filled_chunks);
+                self.sink.observe(self.fill_per_request, o.filled_chunks);
                 if !o.evicted.is_empty() {
-                    self.record_eviction_batch(o.evicted.len() as u64);
+                    let batch = o.evicted.len() as u64;
+                    self.sink.counter_add(self.evicted_chunks, batch);
+                    self.sink.observe(self.eviction_batch, batch);
                 }
             }
-            Decision::Redirect => self.record_redirect(),
+            Decision::Redirect => self.sink.counter_add(self.redirect_requests, 1),
         }
-        self.set_occupancy(occupancy_chunks);
+        self.sink.gauge_set(self.occupancy, occupancy_chunks);
     }
 
     /// Records one decision's wall-clock latency. The metric is a
@@ -177,15 +140,22 @@ impl Default for PolicyObs {
 mod tests {
     use super::*;
     use crate::registry::MetricsRegistry;
+    use vcdn_types::{ChunkId, ServeOutcome, VideoId};
+
+    fn serve(hit_chunks: u64, filled_chunks: u64, evicted: u32) -> Decision {
+        Decision::Serve(ServeOutcome {
+            hit_chunks,
+            filled_chunks,
+            evicted: (0..evicted).map(|c| ChunkId::new(VideoId(1), c)).collect(),
+        })
+    }
 
     #[test]
     fn noop_handle_is_disabled_and_inert() {
         let obs = PolicyObs::noop();
         assert!(!obs.enabled());
-        obs.record_serve(4, 2);
-        obs.record_redirect();
-        obs.record_eviction_batch(10);
-        obs.set_occupancy(5);
+        obs.record_decision(&serve(4, 2, 10), 5);
+        obs.record_decision(&Decision::Redirect, 5);
         obs.record_decision_latency_ns(123);
     }
 
@@ -194,11 +164,9 @@ mod tests {
         let reg = Arc::new(MetricsRegistry::new());
         let obs = PolicyObs::attach(reg.clone(), "xlru");
         assert!(obs.enabled());
-        obs.record_serve(3, 1);
-        obs.record_serve(0, 4);
-        obs.record_redirect();
-        obs.record_eviction_batch(7);
-        obs.set_occupancy(42);
+        obs.record_decision(&serve(3, 1, 0), 10);
+        obs.record_decision(&serve(0, 4, 7), 20);
+        obs.record_decision(&Decision::Redirect, 42);
 
         let snap = reg.snapshot(true);
         let get = |name: &str| {
@@ -215,6 +183,9 @@ mod tests {
         let fills = get("xlru.fill_chunks_per_request");
         assert_eq!(fills.value, 2);
         assert_eq!(fills.sum, 5);
+        // Only the evicting serve records an eviction batch.
+        let batches = get("xlru.eviction_batch_chunks");
+        assert_eq!((batches.value, batches.sum), (1, 7));
     }
 
     #[test]
@@ -222,8 +193,8 @@ mod tests {
         let reg = Arc::new(MetricsRegistry::new());
         let a = PolicyObs::attach(reg.clone(), "s00.cafe");
         let b = PolicyObs::attach(reg.clone(), "s01.cafe");
-        a.record_redirect();
-        b.record_serve(1, 0);
+        a.record_decision(&Decision::Redirect, 0);
+        b.record_decision(&serve(1, 0, 0), 1);
         let snap = reg.snapshot(true);
         let get = |name: &str| snap.iter().find(|m| m.name == name).unwrap().value;
         assert_eq!(get("s00.cafe.redirect_requests_total"), 1);

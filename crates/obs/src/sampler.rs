@@ -19,6 +19,8 @@
 use vcdn_types::json::{Json, ToJson};
 use vcdn_types::{CostModel, TrafficCounter};
 
+use crate::window::WindowInput;
+
 /// One interval's snapshot of replay behavior.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesSample {
@@ -103,12 +105,15 @@ impl ToJson for SeriesSample {
 /// # Examples
 ///
 /// ```
-/// use vcdn_obs::ReplaySampler;
-/// use vcdn_types::CostModel;
+/// use vcdn_obs::{ReplaySampler, WindowInput};
+/// use vcdn_types::{CostModel, TrafficCounter};
 ///
+/// let at = |t_ms, traffic| WindowInput { t_ms, traffic, ..WindowInput::default() };
+/// let served = TrafficCounter { hit_bytes: 80, fill_bytes: 20, served_requests: 1, ..TrafficCounter::default() };
+/// let redirected = TrafficCounter { redirect_bytes: 50, redirected_requests: 1, ..TrafficCounter::default() };
 /// let mut s = ReplaySampler::new(1_000, CostModel::balanced());
-/// s.record(100, 80, 20, 0, 4, 8, None); // t=100ms: 80B hit, 20B fill
-/// s.record(2_500, 0, 0, 50, 4, 8, None); // t=2.5s: 50B redirected
+/// s.record(&at(100, served), 4, 8, None); // t=100ms: 80B hit, 20B fill
+/// s.record(&at(2_500, redirected), 4, 8, None); // t=2.5s: 50B redirected
 /// let samples = s.finish();
 /// assert_eq!(samples.len(), 3); // intervals [0,1s) [1s,2s) [2s,3s)
 /// assert_eq!(samples[1].interval.requested_bytes(), 0); // empty, not NaN
@@ -173,27 +178,23 @@ impl ReplaySampler {
         self.open_start = self.open_start.saturating_add(self.interval_ms);
     }
 
-    /// Records one decided request. Bytes are chunk-granularity byte
-    /// counts (exactly one of `fill`+`hit` or `redirect` is nonzero per
-    /// the replay accounting); `occupancy`/`capacity` are the policy's
-    /// disk state after the decision, and `cache_age_ms` the policy's
-    /// cache age where defined.
+    /// Records one decided request: `input.traffic` is its delta
+    /// ([`TrafficCounter::of_decision`]); `occupancy`/`capacity` are the
+    /// policy's disk state after the decision, and `cache_age_ms` the
+    /// policy's cache age where defined.
     ///
     /// # Panics
     ///
-    /// Panics if `t_ms` moves backwards past an already closed interval
-    /// (replay time is non-decreasing).
-    #[allow(clippy::too_many_arguments)]
+    /// Panics if `input.t_ms` moves backwards past an already closed
+    /// interval (replay time is non-decreasing).
     pub fn record(
         &mut self,
-        t_ms: u64,
-        hit_bytes: u64,
-        fill_bytes: u64,
-        redirect_bytes: u64,
+        input: &WindowInput,
         occupancy: u64,
         capacity: u64,
         cache_age_ms: Option<f64>,
     ) {
+        let t_ms = input.t_ms;
         assert!(
             t_ms >= self.open_start,
             "sampler fed out of order: t={t_ms}ms before interval start {}ms",
@@ -204,19 +205,8 @@ impl ReplaySampler {
         while t_ms >= self.open_start.saturating_add(self.interval_ms) {
             self.close_open_interval();
         }
-        self.open.record_hit(hit_bytes);
-        self.open.record_fill(fill_bytes);
-        self.open.record_redirect(redirect_bytes);
-        self.cum.record_hit(hit_bytes);
-        self.cum.record_fill(fill_bytes);
-        self.cum.record_redirect(redirect_bytes);
-        if redirect_bytes > 0 {
-            self.open.redirected_requests += 1;
-            self.cum.redirected_requests += 1;
-        } else {
-            self.open.served_requests += 1;
-            self.cum.served_requests += 1;
-        }
+        self.open += input.traffic;
+        self.cum += input.traffic;
         self.occupancy_chunks = occupancy;
         self.capacity_chunks = capacity;
         if cache_age_ms.is_some() {
@@ -238,6 +228,22 @@ impl ReplaySampler {
 mod tests {
     use super::*;
 
+    /// A request at `t_ms` with the given bytes; `redirect > 0` makes it a
+    /// redirect, otherwise a serve.
+    fn req(t_ms: u64, hit: u64, fill: u64, redirect: u64) -> WindowInput {
+        WindowInput {
+            t_ms,
+            traffic: TrafficCounter {
+                hit_bytes: hit,
+                fill_bytes: fill,
+                redirect_bytes: redirect,
+                served_requests: u64::from(redirect == 0),
+                redirected_requests: u64::from(redirect > 0),
+            },
+            ..WindowInput::default()
+        }
+    }
+
     #[test]
     fn cumulative_counters_match_total_exactly() {
         let costs = CostModel::from_alpha(2.0).unwrap();
@@ -249,15 +255,9 @@ mod tests {
                 1 => (0, 0, 70),
                 _ => (40, 0, 0),
             };
-            s.record(i * 97, h, f, r, i, 100, Some(i as f64));
-            total.record_hit(h);
-            total.record_fill(f);
-            total.record_redirect(r);
-            if r > 0 {
-                total.redirected_requests += 1;
-            } else {
-                total.served_requests += 1;
-            }
+            let input = req(i * 97, h, f, r);
+            s.record(&input, i, 100, Some(i as f64));
+            total += input.traffic;
         }
         let samples = s.finish();
         let last = samples.last().unwrap();
@@ -273,8 +273,8 @@ mod tests {
     #[test]
     fn empty_intervals_are_emitted_with_zero_efficiency() {
         let mut s = ReplaySampler::new(100, CostModel::balanced());
-        s.record(50, 10, 0, 0, 1, 4, None);
-        s.record(950, 10, 0, 0, 2, 4, None);
+        s.record(&req(50, 10, 0, 0), 1, 4, None);
+        s.record(&req(950, 10, 0, 0), 2, 4, None);
         let samples = s.finish();
         assert_eq!(samples.len(), 10);
         for sample in &samples[1..9] {
@@ -290,8 +290,8 @@ mod tests {
     #[test]
     fn sample_grid_is_evenly_spaced() {
         let mut s = ReplaySampler::new(250, CostModel::balanced());
-        s.record(0, 1, 0, 0, 1, 1, None);
-        s.record(1_100, 1, 0, 0, 1, 1, None);
+        s.record(&req(0, 1, 0, 0), 1, 1, None);
+        s.record(&req(1_100, 1, 0, 0), 1, 1, None);
         let samples = s.finish();
         let starts: Vec<u64> = samples.iter().map(|x| x.t_ms).collect();
         assert_eq!(starts, vec![0, 250, 500, 750, 1000]);
@@ -306,8 +306,8 @@ mod tests {
     #[test]
     fn cache_age_holds_last_known_value() {
         let mut s = ReplaySampler::new(100, CostModel::balanced());
-        s.record(10, 1, 0, 0, 1, 2, Some(42.0));
-        s.record(150, 1, 0, 0, 1, 2, None);
+        s.record(&req(10, 1, 0, 0), 1, 2, Some(42.0));
+        s.record(&req(150, 1, 0, 0), 1, 2, None);
         let samples = s.finish();
         assert_eq!(samples[0].cache_age_ms, Some(42.0));
         assert_eq!(samples[1].cache_age_ms, Some(42.0));
@@ -317,14 +317,14 @@ mod tests {
     #[should_panic(expected = "out of order")]
     fn time_reversal_is_rejected() {
         let mut s = ReplaySampler::new(100, CostModel::balanced());
-        s.record(500, 1, 0, 0, 1, 1, None);
-        s.record(10, 1, 0, 0, 1, 1, None);
+        s.record(&req(500, 1, 0, 0), 1, 1, None);
+        s.record(&req(10, 1, 0, 0), 1, 1, None);
     }
 
     #[test]
     fn sample_serialises_to_flat_object() {
         let mut s = ReplaySampler::new(100, CostModel::balanced());
-        s.record(10, 80, 20, 0, 3, 8, Some(7.5));
+        s.record(&req(10, 80, 20, 0), 3, 8, Some(7.5));
         let sample = &s.finish()[0];
         let parsed = vcdn_types::json::parse(&sample.to_json().to_string()).unwrap();
         assert_eq!(parsed.get("type").and_then(Json::as_str), Some("sample"));

@@ -26,7 +26,7 @@
 //!
 //! Conservation invariant (pinned by `prop_window.rs` and `obs_check`):
 //! the sum of all window traffic deltas — closed, dropped and open —
-//! equals the ring's cumulative [`TrafficCounter`].
+//! equals the sum of the recorded [`WindowInput::traffic`] deltas.
 
 use std::collections::VecDeque;
 
@@ -101,12 +101,6 @@ impl WindowStats {
         self.request_chunks.merge_from(&other.request_chunks);
     }
 
-    /// Eq. 2 efficiency over this window's traffic alone (`0.0` for an
-    /// empty window — the zero-request guard, not `NaN`).
-    pub fn efficiency(&self, costs: CostModel) -> f64 {
-        self.traffic.efficiency(costs)
-    }
-
     /// Fraction of the window's requested bytes that were redirected
     /// (`0.0` for an empty window).
     pub fn redirect_rate(&self) -> f64 {
@@ -148,16 +142,8 @@ impl WindowStats {
 pub struct WindowRecord {
     /// Window index (start = `index · window_ms`).
     pub index: u64,
-    /// Bytes served from cache within the window.
-    pub hit_bytes: u64,
-    /// Bytes cache-filled within the window.
-    pub fill_bytes: u64,
-    /// Bytes redirected within the window.
-    pub redirect_bytes: u64,
-    /// Requests served within the window.
-    pub served_requests: u64,
-    /// Requests redirected within the window.
-    pub redirected_requests: u64,
+    /// Traffic within the window.
+    pub traffic: TrafficCounter,
     /// Eq. 2 interval efficiency (0.0 for an empty window).
     pub efficiency: f64,
     /// Redirected fraction of requested bytes (0.0 for an empty window).
@@ -184,12 +170,8 @@ impl WindowRecord {
     pub fn from_stats(w: &WindowStats, costs: CostModel) -> WindowRecord {
         WindowRecord {
             index: w.index,
-            hit_bytes: w.traffic.hit_bytes,
-            fill_bytes: w.traffic.fill_bytes,
-            redirect_bytes: w.traffic.redirect_bytes,
-            served_requests: w.traffic.served_requests,
-            redirected_requests: w.traffic.redirected_requests,
-            efficiency: w.efficiency(costs),
+            traffic: w.traffic,
+            efficiency: w.traffic.efficiency(costs),
             redirect_rate: w.redirect_rate(),
             filled_chunks: w.filled_chunks,
             evicted_chunks: w.evicted_chunks,
@@ -204,22 +186,20 @@ impl WindowRecord {
 
 impl ToJson for WindowRecord {
     fn to_json(&self) -> Json {
+        let t = &self.traffic;
         Json::Obj(vec![
             ("type".into(), Json::Str("window".into())),
             ("index".into(), Json::Int(self.index as i128)),
-            ("hit_bytes".into(), Json::Int(self.hit_bytes as i128)),
-            ("fill_bytes".into(), Json::Int(self.fill_bytes as i128)),
-            (
-                "redirect_bytes".into(),
-                Json::Int(self.redirect_bytes as i128),
-            ),
+            ("hit_bytes".into(), Json::Int(t.hit_bytes as i128)),
+            ("fill_bytes".into(), Json::Int(t.fill_bytes as i128)),
+            ("redirect_bytes".into(), Json::Int(t.redirect_bytes as i128)),
             (
                 "served_requests".into(),
-                Json::Int(self.served_requests as i128),
+                Json::Int(t.served_requests as i128),
             ),
             (
                 "redirected_requests".into(),
-                Json::Int(self.redirected_requests as i128),
+                Json::Int(t.redirected_requests as i128),
             ),
             ("efficiency".into(), Json::Float(self.efficiency)),
             ("redirect_rate".into(), Json::Float(self.redirect_rate)),
@@ -260,14 +240,10 @@ impl ToJson for WindowRecord {
 pub struct WindowInput {
     /// The request's trace time in ms (non-decreasing across records).
     pub t_ms: u64,
-    /// Bytes served from cache.
-    pub hit_bytes: u64,
-    /// Bytes cache-filled.
-    pub fill_bytes: u64,
-    /// Bytes redirected (a nonzero value counts the request as
-    /// redirected; zero counts it as served, matching the replay
-    /// accounting).
-    pub redirect_bytes: u64,
+    /// The request's traffic delta, as
+    /// [`TrafficCounter::of_decision`] computes it: bytes plus exactly one
+    /// served or redirected request.
+    pub traffic: TrafficCounter,
     /// Chunks written to disk by this decision.
     pub filled_chunks: u64,
     /// Chunks evicted by this decision.
@@ -295,14 +271,16 @@ pub struct WindowInput {
 ///
 /// ```
 /// use vcdn_obs::window::{WindowInput, WindowRing};
+/// use vcdn_types::TrafficCounter;
 ///
 /// let mut ring = WindowRing::new(1_000, 16);
 /// let mut closed = Vec::new();
+/// let hit = TrafficCounter { hit_bytes: 80, served_requests: 1, ..TrafficCounter::default() };
 /// for t in [100u64, 2_500] {
 ///     ring.record(
 ///         &WindowInput {
 ///             t_ms: t,
-///             hit_bytes: 80,
+///             traffic: hit,
 ///             request_chunks: 1,
 ///             ..WindowInput::default()
 ///         },
@@ -323,8 +301,6 @@ pub struct WindowRing {
     open_dirty: bool,
     closed: VecDeque<WindowStats>,
     dropped: u64,
-    cum: TrafficCounter,
-    saw_request: bool,
 }
 
 impl WindowRing {
@@ -344,8 +320,6 @@ impl WindowRing {
             open_dirty: false,
             closed: VecDeque::new(),
             dropped: 0,
-            cum: TrafficCounter::default(),
-            saw_request: false,
         }
     }
 
@@ -362,13 +336,6 @@ impl WindowRing {
     /// Closed windows evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Cumulative traffic over every record fed to the ring — the
-    /// conservation target: it equals the sum of all window deltas
-    /// (closed, dropped and open).
-    pub fn cum(&self) -> TrafficCounter {
-        self.cum
     }
 
     /// The retained closed windows, oldest first.
@@ -404,24 +371,11 @@ impl WindowRing {
             input.t_ms,
             open_start
         );
-        self.saw_request = true;
         while input.t_ms >= (self.open.index + 1).saturating_mul(self.width_ms) {
             self.close_open(on_close);
         }
         let w = &mut self.open;
-        w.traffic.record_hit(input.hit_bytes);
-        w.traffic.record_fill(input.fill_bytes);
-        w.traffic.record_redirect(input.redirect_bytes);
-        self.cum.record_hit(input.hit_bytes);
-        self.cum.record_fill(input.fill_bytes);
-        self.cum.record_redirect(input.redirect_bytes);
-        if input.redirect_bytes > 0 {
-            w.traffic.redirected_requests += 1;
-            self.cum.redirected_requests += 1;
-        } else {
-            w.traffic.served_requests += 1;
-            self.cum.served_requests += 1;
-        }
+        w.traffic += input.traffic;
         w.filled_chunks += input.filled_chunks;
         w.evicted_chunks += input.evicted_chunks;
         w.max_stream_requests = w.traffic.total_requests();
@@ -436,7 +390,7 @@ impl WindowRing {
     /// close) through `on_close` into the ring. Call once at end of run;
     /// an entirely unfed ring flushes nothing.
     pub fn finish(&mut self, on_close: &mut dyn FnMut(&WindowStats)) {
-        if self.saw_request && self.open_dirty {
+        if self.open_dirty {
             self.close_open(on_close);
         }
     }
@@ -488,12 +442,23 @@ pub fn merge_windows(sets: &[Vec<WindowStats>]) -> Vec<WindowStats> {
 mod tests {
     use super::*;
 
+    /// One request's delta: `red > 0` redirects it, otherwise it is a
+    /// `hit`-byte serve.
+    fn delta(hit: u64, red: u64) -> TrafficCounter {
+        TrafficCounter {
+            hit_bytes: hit,
+            redirect_bytes: red,
+            served_requests: u64::from(red == 0),
+            redirected_requests: u64::from(red > 0),
+            ..TrafficCounter::default()
+        }
+    }
+
     fn feed(ring: &mut WindowRing, t_ms: u64, hit: u64, red: u64) {
         ring.record(
             &WindowInput {
                 t_ms,
-                hit_bytes: hit,
-                redirect_bytes: red,
+                traffic: delta(hit, red),
                 request_chunks: 1,
                 ..WindowInput::default()
             },
@@ -525,7 +490,7 @@ mod tests {
             ring.record(
                 &WindowInput {
                     t_ms: t,
-                    hit_bytes: 1,
+                    traffic: delta(1, 0),
                     request_chunks: 1,
                     ..WindowInput::default()
                 },
@@ -540,15 +505,17 @@ mod tests {
     }
 
     #[test]
-    fn conservation_sum_of_deltas_equals_cum() {
+    fn conservation_sum_of_deltas_equals_inputs() {
         let mut ring = WindowRing::new(50, 3);
         let mut dropped_plus_closed = TrafficCounter::default();
+        let mut fed = TrafficCounter::default();
         for t in 0..40u64 {
+            let traffic = delta(t, u64::from(t % 5 == 0) * 9);
+            fed += traffic;
             ring.record(
                 &WindowInput {
                     t_ms: t * 31,
-                    hit_bytes: t,
-                    redirect_bytes: u64::from(t % 5 == 0) * 9,
+                    traffic,
                     request_chunks: 1,
                     ..WindowInput::default()
                 },
@@ -556,18 +523,18 @@ mod tests {
             );
         }
         ring.finish(&mut |w| dropped_plus_closed += w.traffic);
-        assert_eq!(dropped_plus_closed, ring.cum());
+        assert_eq!(dropped_plus_closed, fed);
     }
 
     #[test]
     fn merge_is_order_invariant_and_fills_gaps() {
         let mut a = WindowStats::empty(2);
-        a.traffic.record_hit(10);
+        a.traffic.hit_bytes += 10;
         a.traffic.served_requests += 1;
         a.max_stream_requests = 1;
         a.queue_gap.observe(4);
         let mut b = WindowStats::empty(4);
-        b.traffic.record_fill(3);
+        b.traffic.fill_bytes += 3;
         b.traffic.served_requests += 1;
         b.max_stream_requests = 1;
         let ab = merge_windows(&[vec![a.clone()], vec![b.clone()]]);
@@ -581,13 +548,13 @@ mod tests {
     #[test]
     fn merge_same_index_sums_and_maxes() {
         let mut a = WindowStats::empty(7);
-        a.traffic.record_hit(10);
+        a.traffic.hit_bytes += 10;
         a.traffic.served_requests += 3;
         a.max_stream_requests = 3;
         a.filled_chunks = 2;
         a.queue_gap.observe(8);
         let mut b = WindowStats::empty(7);
-        b.traffic.record_redirect(6);
+        b.traffic.redirect_bytes += 6;
         b.traffic.redirected_requests += 1;
         b.max_stream_requests = 1;
         b.evicted_chunks = 5;
@@ -622,7 +589,7 @@ mod tests {
         let w = WindowStats::empty(0);
         assert_eq!(w.skew_x1000(4), 1000);
         assert_eq!(w.redirect_rate(), 0.0);
-        assert_eq!(w.efficiency(CostModel::balanced()), 0.0);
+        assert_eq!(w.traffic.efficiency(CostModel::balanced()), 0.0);
         let mut hot = WindowStats::empty(0);
         hot.traffic.served_requests = 4;
         hot.max_stream_requests = 2;
@@ -633,7 +600,7 @@ mod tests {
     #[test]
     fn record_json_shape() {
         let mut w = WindowStats::empty(3);
-        w.traffic.record_hit(100);
+        w.traffic.hit_bytes += 100;
         w.traffic.served_requests += 1;
         w.max_stream_requests = 1;
         w.request_chunks.observe(2);

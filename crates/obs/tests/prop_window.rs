@@ -8,7 +8,7 @@
 //!   engine-level windows identically at any worker count and in any
 //!   order.
 //! * **Conservation** — Σ(window traffic deltas) over closed + open
-//!   windows equals the ring's cumulative counter, regardless of window
+//!   windows equals the sum of the recorded deltas, regardless of window
 //!   width, gaps, or ring eviction (detectors see every window at close
 //!   time, so eviction loses no signal).
 //! * **Partition invariance** — splitting one stream across P rings and
@@ -17,6 +17,7 @@
 use vcdn_obs::window::{merge_windows, WindowInput, WindowRing, WindowStats};
 use vcdn_obs::HistogramSnapshot;
 use vcdn_trace::rng::DetRng;
+use vcdn_types::TrafficCounter;
 
 /// A deterministic random request stream with non-decreasing timestamps
 /// and occasional redirects, fills and evictions.
@@ -27,15 +28,23 @@ fn random_inputs(rng: &mut DetRng, len: usize, max_step_ms: u64) -> Vec<WindowIn
             t += rng.below(max_step_ms);
             let redirect = rng.f64() < 0.2;
             let chunks = 1 + rng.below(16);
+            let traffic = if redirect {
+                TrafficCounter {
+                    redirect_bytes: chunks * 100,
+                    redirected_requests: 1,
+                    ..TrafficCounter::default()
+                }
+            } else {
+                TrafficCounter {
+                    hit_bytes: chunks * 100,
+                    fill_bytes: rng.below(chunks + 1) * 100,
+                    served_requests: 1,
+                    ..TrafficCounter::default()
+                }
+            };
             WindowInput {
                 t_ms: t,
-                hit_bytes: if redirect { 0 } else { chunks * 100 },
-                fill_bytes: if redirect {
-                    0
-                } else {
-                    rng.below(chunks + 1) * 100
-                },
-                redirect_bytes: if redirect { chunks * 100 } else { 0 },
+                traffic,
                 filled_chunks: if redirect { 0 } else { rng.below(chunks + 1) },
                 evicted_chunks: rng.below(3),
                 request_chunks: chunks,
@@ -54,11 +63,11 @@ fn random_window(rng: &mut DetRng, index: u64) -> WindowStats {
     let n = 1 + rng.below(20);
     for _ in 0..n {
         if rng.f64() < 0.25 {
-            w.traffic.record_redirect(100 + rng.below(1000));
+            w.traffic.redirect_bytes += 100 + rng.below(1000);
             w.traffic.redirected_requests += 1;
         } else {
-            w.traffic.record_hit(100 + rng.below(1000));
-            w.traffic.record_fill(rng.below(500));
+            w.traffic.hit_bytes += 100 + rng.below(1000);
+            w.traffic.fill_bytes += rng.below(500);
             w.traffic.served_requests += 1;
         }
         w.queue_gap.observe(rng.below(100_000));
@@ -137,7 +146,7 @@ fn merge_windows_is_invariant_to_set_order_and_grouping() {
 }
 
 #[test]
-fn conservation_sum_of_deltas_equals_cumulative_counter() {
+fn conservation_sum_of_deltas_equals_recorded_deltas() {
     for seed in [3u64, 99, 20140413] {
         let mut rng = DetRng::new(seed);
         for (width, retain, len, max_step) in [
@@ -159,11 +168,12 @@ fn conservation_sum_of_deltas_equals_cumulative_counter() {
                 sum += w.traffic;
                 gap_samples += w.queue_gap.count;
             });
-            assert_eq!(
-                sum,
-                ring.cum(),
-                "seed {seed} width {width}: traffic not conserved"
-            );
+            let fed = inputs
+                .iter()
+                .fold(vcdn_types::TrafficCounter::default(), |acc, i| {
+                    acc + i.traffic
+                });
+            assert_eq!(sum, fed, "seed {seed} width {width}: traffic not conserved");
             assert_eq!(sum.total_requests(), len as u64);
             assert_eq!(gap_samples, len as u64, "gap sketch lost samples");
             // The ring stayed bounded and accounted for every eviction.

@@ -58,7 +58,7 @@ use std::time::Instant;
 
 use vcdn_obs::span::{DispatchSpans, ShardSpans, WorkerTimings};
 use vcdn_obs::topk::{SpaceSaving, TopKEntry, TopKRecord};
-use vcdn_obs::window::{merge_windows, WindowInput, WindowRecord, WindowRing, WindowStats};
+use vcdn_obs::window::{merge_windows, WindowRecord, WindowRing, WindowStats};
 
 use vcdn_core::{CacheConfig, CachePolicy};
 use vcdn_obs::{
@@ -67,9 +67,10 @@ use vcdn_obs::{
 use vcdn_trace::Trace;
 use vcdn_types::json::Json;
 use vcdn_types::{
-    fasthash, ChunkId, ChunkSize, CostModel, Decision, DurationMs, Request, Timestamp,
-    TrafficCounter, VideoId,
+    fasthash, ChunkId, ChunkSize, CostModel, Decision, DurationMs, Request, TrafficCounter, VideoId,
 };
+
+use crate::replay::{policy_mismatch, Kernel};
 
 /// The shard that owns every chunk of `video`: fasthash over the packed
 /// [`ChunkId`] of the video's first chunk, mod the shard count. Keying on
@@ -201,16 +202,7 @@ impl EngineConfig {
         chunk_size: ChunkSize,
         costs: CostModel,
     ) -> Result<EngineConfig, EngineError> {
-        if shards == 0 {
-            return Err(EngineError::NoShards);
-        }
-        if disk_chunks < shards as u64 {
-            return Err(EngineError::DiskTooSmall {
-                shards,
-                disk_chunks,
-            });
-        }
-        Ok(EngineConfig {
+        let cfg = EngineConfig {
             shards,
             disk_chunks,
             chunk_size,
@@ -222,7 +214,24 @@ impl EngineConfig {
             topk: 8,
             window: DurationMs::HOUR,
             window_retain: 768,
-        })
+        };
+        cfg.validate()?;
+        Ok(cfg)
+    }
+
+    /// The shape every engine needs: at least one shard, and at least
+    /// one disk chunk per shard.
+    fn validate(&self) -> Result<(), EngineError> {
+        if self.shards == 0 {
+            return Err(EngineError::NoShards);
+        }
+        if self.disk_chunks < self.shards as u64 {
+            return Err(EngineError::DiskTooSmall {
+                shards: self.shards,
+                disk_chunks: self.disk_chunks,
+            });
+        }
+        Ok(())
     }
 
     /// The measurement configuration for benches: identical to
@@ -338,29 +347,37 @@ impl BatchQueue {
     }
 
     /// Enqueues the contents of `buf`, swapping it for an empty (possibly
-    /// recycled) buffer. Blocks while the queue is full.
-    fn push(&self, buf: &mut Vec<u32>) {
+    /// recycled) buffer. Blocks while the queue is full. Returns `false`,
+    /// leaving `buf` as it was, if the queue is closed — as a worker's
+    /// queue is once the worker unwound.
+    fn push(&self, buf: &mut Vec<u32>) -> bool {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while st.batches.len() >= self.depth {
+        while !st.closed && st.batches.len() >= self.depth {
             st = self
                 .can_push
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
+        }
+        if st.closed {
+            return false;
         }
         let replacement = st.free.pop().unwrap_or_default();
         let full = std::mem::replace(buf, replacement);
         st.batches.push_back(full);
         drop(st);
         self.can_pop.notify_one();
+        true
     }
 
-    /// Marks the queue closed; the consumer drains what remains and then
-    /// sees `None`.
+    /// Marks the queue closed: pushes fail from now on (waking a blocked
+    /// producer), and the consumer drains what remains and then sees
+    /// `None`.
     fn close(&self) {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.closed = true;
         drop(st);
         self.can_pop.notify_one();
+        self.can_push.notify_all();
     }
 
     /// Dequeues the oldest batch, blocking while the queue is empty and
@@ -391,6 +408,19 @@ impl BatchQueue {
         let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         if st.free.len() < self.depth {
             st.free.push(buf);
+        }
+    }
+}
+
+/// Held by a worker for its whole life: if the worker unwinds, the drop
+/// closes its queue, so a dispatcher blocked on that full queue wakes and
+/// stops feeding instead of waiting forever.
+struct CloseOnUnwind<'a>(&'a BatchQueue);
+
+impl Drop for CloseOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.close();
         }
     }
 }
@@ -442,7 +472,6 @@ struct EngineShard {
     policy: Box<dyn CachePolicy>,
     overall: TrafficCounter,
     steady: TrafficCounter,
-    requests: u64,
     /// Decide/evict stage counters; present only while observed.
     spans: Option<ShardSpans>,
     /// Heavy-hitter sketch over the shard's video stream; present only
@@ -461,99 +490,49 @@ struct EngineShard {
 
 /// Per-run context shared (immutably) by every worker.
 struct RunCtx<'a> {
-    chunk_size: ChunkSize,
-    k_bytes: u64,
-    steady_from: Timestamp,
-    check_invariants: bool,
+    kernel: Kernel,
     obs: Option<&'a EngineObs>,
 }
 
-/// Handles one request on its owning shard: decide, verify, account.
+/// Handles one request on its owning shard: the shared accounting kernel
+/// (decide, verify, account), then the engine's own instrumentation.
 /// `tick` is the request's global dispatch index (trace order), used for
 /// the window plane's logical queue-gap sketch. This — plus
 /// [`shard_of_video`] in the dispatch loop — is the engine's per-request
 /// path: no allocation, no map churn, no locks.
 // lint: hot
 fn process(shard: &mut EngineShard, request: &Request, tick: u64, ctx: &RunCtx<'_>) {
-    let chunks = request.chunk_len(ctx.chunk_size);
-    let decision = shard.policy.handle_request(request);
-    shard.requests += 1;
+    let (decision, mut input) = ctx.kernel.step(
+        shard.policy.as_mut(),
+        request,
+        &mut shard.overall,
+        &mut shard.steady,
+    );
     if let Some(sketch) = shard.topk.as_mut() {
         sketch.record(ChunkId::new(request.video, 0).packed());
     }
-    if let (Some(spans), Some(obs)) = (&shard.spans, ctx.obs) {
-        let evicted = matches!(&decision, Decision::Serve(o) if !o.evicted.is_empty());
-        spans.record(obs.sink.as_ref(), evicted);
-    }
-    let in_steady = request.t >= ctx.steady_from;
-    match &decision {
-        Decision::Serve(o) => {
-            if ctx.check_invariants {
-                assert_eq!(
-                    o.served_chunks(),
-                    chunks,
-                    "{}: serve must cover the full request",
-                    shard.policy.name()
-                );
-                assert!(
-                    shard.policy.disk_used_chunks() <= shard.policy.disk_capacity_chunks(),
-                    "{}: capacity exceeded",
-                    shard.policy.name()
-                );
-            }
-            let hit_b = o.hit_chunks.saturating_mul(ctx.k_bytes);
-            let fill_b = o.filled_chunks.saturating_mul(ctx.k_bytes);
-            shard.overall.record_hit(hit_b);
-            shard.overall.record_fill(fill_b);
-            shard.overall.served_requests += 1;
-            if in_steady {
-                shard.steady.record_hit(hit_b);
-                shard.steady.record_fill(fill_b);
-                shard.steady.served_requests += 1;
-            }
-            if let Some(obs) = ctx.obs {
+    if let Some(obs) = ctx.obs {
+        if let Some(spans) = &shard.spans {
+            spans.record(obs.sink.as_ref(), input.evicted_chunks > 0);
+        }
+        match &decision {
+            Decision::Serve(o) => {
                 obs.sink.counter_add(obs.served, 1);
                 obs.sink.counter_add(obs.hit_chunks, o.hit_chunks);
                 obs.sink.counter_add(obs.fill_chunks, o.filled_chunks);
                 obs.sink
-                    .counter_add(obs.evicted_chunks, o.evicted.len() as u64);
+                    .counter_add(obs.evicted_chunks, input.evicted_chunks);
             }
-        }
-        Decision::Redirect => {
-            let red_b = chunks.saturating_mul(ctx.k_bytes);
-            shard.overall.record_redirect(red_b);
-            shard.overall.redirected_requests += 1;
-            if in_steady {
-                shard.steady.record_redirect(red_b);
-                shard.steady.redirected_requests += 1;
-            }
-            if let Some(obs) = ctx.obs {
+            Decision::Redirect => {
                 obs.sink.counter_add(obs.redirected, 1);
-                obs.sink.counter_add(obs.redirect_chunks, chunks);
+                obs.sink
+                    .counter_add(obs.redirect_chunks, input.request_chunks);
             }
         }
     }
     if let Some(ring) = shard.window.as_mut() {
-        let gap = tick + 1 - shard.last_tick_plus1;
+        input.queue_gap = Some(tick + 1 - shard.last_tick_plus1);
         shard.last_tick_plus1 = tick + 1;
-        let (hit_chunks, filled_chunks, evicted_chunks) = match &decision {
-            Decision::Serve(o) => (o.hit_chunks, o.filled_chunks, o.evicted.len() as u64),
-            Decision::Redirect => (0, 0, 0),
-        };
-        let input = WindowInput {
-            t_ms: request.t.as_millis(),
-            hit_bytes: hit_chunks.saturating_mul(ctx.k_bytes),
-            fill_bytes: filled_chunks.saturating_mul(ctx.k_bytes),
-            redirect_bytes: if matches!(decision, Decision::Redirect) {
-                chunks.saturating_mul(ctx.k_bytes)
-            } else {
-                0
-            },
-            filled_chunks,
-            evicted_chunks,
-            request_chunks: chunks,
-            queue_gap: Some(gap),
-        };
         // Shard-level detection runs at report time over the merged
         // windows (Watchdog::run in engine_bundle), so closing needs no
         // callback here.
@@ -696,29 +675,12 @@ impl ShardedEngine {
     where
         F: FnMut(usize, CacheConfig) -> Box<dyn CachePolicy>,
     {
-        if cfg.shards == 0 {
-            return Err(EngineError::NoShards);
-        }
-        if cfg.disk_chunks < cfg.shards as u64 {
-            return Err(EngineError::DiskTooSmall {
-                shards: cfg.shards,
-                disk_chunks: cfg.disk_chunks,
-            });
-        }
+        cfg.validate()?;
         let mut shards = Vec::with_capacity(cfg.shards);
         for (i, cap) in cfg.shard_capacities().into_iter().enumerate() {
             let policy = factory(i, CacheConfig::new(cap, cfg.chunk_size, cfg.costs));
-            if policy.chunk_size() != cfg.chunk_size {
-                return Err(EngineError::PolicyMismatch {
-                    shard: i,
-                    what: "chunk size",
-                });
-            }
-            if (policy.costs().alpha() - cfg.costs.alpha()).abs() > 1e-12 {
-                return Err(EngineError::PolicyMismatch {
-                    shard: i,
-                    what: "cost model",
-                });
+            if let Some(what) = policy_mismatch(policy.as_ref(), cfg.chunk_size, cfg.costs) {
+                return Err(EngineError::PolicyMismatch { shard: i, what });
             }
             if policy.disk_capacity_chunks() != cap {
                 return Err(EngineError::PolicyMismatch {
@@ -730,7 +692,6 @@ impl ShardedEngine {
                 policy,
                 overall: TrafficCounter::default(),
                 steady: TrafficCounter::default(),
-                requests: 0,
                 spans: None,
                 topk: None,
                 window: None,
@@ -816,17 +777,13 @@ impl ShardedEngine {
         );
         let n = self.cfg.shards;
         let workers = workers.max(1).min(n);
-        let horizon = if trace.meta.duration > DurationMs::ZERO {
-            trace.meta.duration
-        } else {
-            DurationMs(trace.end_time().as_millis() + 1)
-        };
-        let steady_from = Timestamp((horizon.as_millis() as f64 * self.cfg.steady_after) as u64);
         let ctx = RunCtx {
-            chunk_size: self.cfg.chunk_size,
-            k_bytes: self.cfg.chunk_size.bytes(),
-            steady_from,
-            check_invariants: self.cfg.check_invariants,
+            kernel: Kernel::new(
+                trace,
+                self.cfg.chunk_size,
+                self.cfg.steady_after,
+                self.cfg.check_invariants,
+            ),
             obs: self.obs.as_ref(),
         };
         let requests = &trace.requests[..limit];
@@ -868,11 +825,20 @@ impl ShardedEngine {
                 owned[s % workers].push(shard);
             }
             std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(workers);
                 for (w, mut own) in owned.into_iter().enumerate() {
                     let queue = &queues[w];
                     let ctx = &ctx;
                     let timing = timings.as_ref().map(|t| t[w].clone());
-                    scope.spawn(move || {
+                    handles.push(scope.spawn(move || {
+                        let _close_on_unwind = CloseOnUnwind(queue);
+                        let mut serve = |batch: &[u32]| {
+                            for &idx in batch {
+                                let request = &requests[idx as usize];
+                                let s = shard_of_video(request.video, n);
+                                process(own[s / workers], request, tick_base + idx as u64, ctx);
+                            }
+                        };
                         if let Some(timing) = timing {
                             // Instrumented consumer: wall-clock the queue
                             // (wait) and decide (service) stages per batch.
@@ -883,11 +849,7 @@ impl ShardedEngine {
                                 };
                                 let wait_ns = waited.elapsed().as_nanos() as u64;
                                 let served = Instant::now();
-                                for &idx in &batch {
-                                    let request = &requests[idx as usize];
-                                    let s = shard_of_video(request.video, n);
-                                    process(own[s / workers], request, tick_base + idx as u64, ctx);
-                                }
+                                serve(&batch);
                                 let service_ns = served.elapsed().as_nanos() as u64;
                                 if let Some(obs) = ctx.obs {
                                     timing.record_batch(
@@ -901,32 +863,32 @@ impl ShardedEngine {
                             }
                         } else {
                             while let Some((batch, _)) = queue.pop() {
-                                for &idx in &batch {
-                                    let request = &requests[idx as usize];
-                                    let s = shard_of_video(request.video, n);
-                                    process(own[s / workers], request, tick_base + idx as u64, ctx);
-                                }
+                                serve(&batch);
                                 queue.recycle(batch);
                             }
                         }
-                    });
+                    }));
                 }
                 // The dispatcher: route every request (in trace order) to
                 // its shard's owning worker, flushing full batches. Push
                 // time (backpressure) is wall-clock, so it is only
-                // measured while observed.
+                // measured while observed. A failed push means that
+                // worker unwound: stop feeding and close every queue so
+                // the live workers drain and exit.
                 let push = |w: usize, buf: &mut Vec<u32>| {
                     if let Some(obs) = ctx.obs {
                         let t0 = Instant::now();
-                        queues[w].push(buf);
+                        let pushed = queues[w].push(buf);
                         obs.sink
                             .observe(obs.dispatch_push_ns, t0.elapsed().as_nanos() as u64);
+                        pushed
                     } else {
-                        queues[w].push(buf);
+                        queues[w].push(buf)
                     }
                 };
                 let mut bufs: Vec<Vec<u32>> =
                     (0..workers).map(|_| Vec::with_capacity(batch)).collect();
+                let mut feeding = true;
                 for (i, request) in requests.iter().enumerate() {
                     let s = shard_of_video(request.video, n);
                     if let Some(spans) = &mut dispatch_spans {
@@ -935,15 +897,23 @@ impl ShardedEngine {
                     let w = s % workers;
                     let buf = &mut bufs[w];
                     buf.push(i as u32);
-                    if buf.len() >= batch {
-                        push(w, buf);
+                    if buf.len() >= batch && !push(w, buf) {
+                        feeding = false;
+                        break;
                     }
                 }
                 for (w, buf) in bufs.iter_mut().enumerate() {
-                    if !buf.is_empty() {
-                        push(w, buf);
+                    if feeding && !buf.is_empty() {
+                        feeding = push(w, buf);
                     }
                     queues[w].close();
+                }
+                // Re-raise a worker's panic with its original payload
+                // rather than the scope's generic one.
+                for handle in handles {
+                    if let Err(payload) = handle.join() {
+                        std::panic::resume_unwind(payload);
+                    }
                 }
             });
         }
@@ -964,8 +934,9 @@ impl ShardedEngine {
         };
         let n = self.shards.len() as u128;
         let skew = |max: u64, total: u64| (max as u128 * 1000 * n / total as u128) as u64;
-        let req_max = self.shards.iter().map(|s| s.requests).max().unwrap_or(0);
-        let req_total: u64 = self.shards.iter().map(|s| s.requests).sum();
+        let requests = |s: &EngineShard| s.overall.total_requests();
+        let req_max = self.shards.iter().map(requests).max().unwrap_or(0);
+        let req_total: u64 = self.shards.iter().map(requests).sum();
         if req_total > 0 {
             obs.sink
                 .gauge_set(obs.skew_requests, skew(req_max, req_total));
@@ -999,7 +970,7 @@ impl ShardedEngine {
                     policy: s.policy.name(),
                     capacity_chunks: s.policy.disk_capacity_chunks(),
                     used_chunks: s.policy.disk_used_chunks(),
-                    requests: s.requests,
+                    requests: s.overall.total_requests(),
                     overall: s.overall,
                     steady: s.steady,
                     top_videos: s
@@ -1538,6 +1509,117 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// xLRU that panics on its `fail_at`-th request.
+    struct FailingPolicy {
+        inner: XlruCache,
+        seen: u64,
+        fail_at: u64,
+    }
+
+    impl CachePolicy for FailingPolicy {
+        fn handle_request(&mut self, request: &Request) -> Decision {
+            self.seen += 1;
+            assert!(
+                self.seen < self.fail_at,
+                "injected shard failure at request {}",
+                self.seen
+            );
+            self.inner.handle_request(request)
+        }
+
+        fn name(&self) -> &'static str {
+            "failing"
+        }
+
+        fn chunk_size(&self) -> ChunkSize {
+            self.inner.chunk_size()
+        }
+
+        fn costs(&self) -> CostModel {
+            self.inner.costs()
+        }
+
+        fn disk_used_chunks(&self) -> u64 {
+            self.inner.disk_used_chunks()
+        }
+
+        fn disk_capacity_chunks(&self) -> u64 {
+            self.inner.disk_capacity_chunks()
+        }
+
+        fn contains_chunk(&self, chunk: ChunkId) -> bool {
+            self.inner.contains_chunk(chunk)
+        }
+    }
+
+    #[test]
+    fn worker_panic_surfaces_instead_of_hanging() {
+        // Worker 0 dies inside its first batch; the dispatcher then has
+        // far more than `DEPTH` further batches for it, so without the
+        // close-on-unwind guard it would block forever in `BatchQueue::push`.
+        const SHARDS: usize = 8;
+        const BATCH: usize = 4;
+        const DEPTH: usize = 2;
+        const FAIL_AT: u64 = 3;
+        let t = trace();
+        let per_shard = shard_requests(&t, SHARDS);
+        for workers in [2, 4, 8] {
+            let routed: usize = (0..SHARDS)
+                .filter(|s| s % workers == 0)
+                .map(|s| per_shard[s].len())
+                .sum();
+            assert!(
+                routed > (DEPTH + 2) * BATCH,
+                "{workers} workers: only {routed} requests reach worker 0"
+            );
+            let trace = t.clone();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                let cfg = EngineConfig::new(SHARDS, 96, ChunkSize::DEFAULT, costs())
+                    .unwrap()
+                    .with_batch(BATCH)
+                    .with_queue_depth(DEPTH);
+                let mut engine = ShardedEngine::try_new(cfg, |i, cache| {
+                    if i == 0 {
+                        Box::new(FailingPolicy {
+                            inner: XlruCache::new(cache),
+                            seen: 0,
+                            fail_at: FAIL_AT,
+                        })
+                    } else {
+                        Box::new(XlruCache::new(cache))
+                    }
+                })
+                .unwrap();
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    engine.run(&trace, workers);
+                }));
+                let message = run.err().map(|payload| {
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_default()
+                });
+                // The receiver may have timed out already; nothing to do.
+                let _ = tx.send(message);
+            });
+            let message = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("engine hung after a worker panic ({workers} workers)"))
+                .unwrap_or_else(|| {
+                    panic!("run returned despite a worker panic ({workers} workers)")
+                });
+            runner
+                .join()
+                .expect("the helper thread catches the run's panic");
+            assert_eq!(
+                message, "injected shard failure at request 3",
+                "{workers} workers: original panic payload lost"
+            );
         }
     }
 

@@ -54,38 +54,57 @@ pub fn replay_fleet(
     edges: &mut [Box<dyn CachePolicy>],
     parent: &mut dyn CachePolicy,
 ) -> FleetReport {
+    let streams: Vec<&[Request]> = traces.iter().map(|t| t.requests.as_slice()).collect();
+    let mut edges: Vec<&mut dyn CachePolicy> = edges
+        .iter_mut()
+        .map(|e| e.as_mut() as &mut dyn CachePolicy)
+        .collect();
+    let (edges, parent) = replay_tiers(&streams, &mut edges, parent);
+    FleetReport {
+        edges,
+        origin_bytes: parent.redirect_bytes,
+        parent,
+    }
+}
+
+/// The two-tier loop behind [`replay_fleet`] and
+/// [`crate::hierarchy::replay_hierarchy`]: edge `i` serves `streams[i]`,
+/// and every request an edge redirects retries at `parent`, in global
+/// time order (a stable K-way merge: the lower edge index wins ties).
+/// Returns the per-edge traffic and the parent's; the parent's redirects
+/// are what leaves the CDN toward the origin.
+///
+/// # Panics
+///
+/// Panics if the stream and edge counts differ or a policy disagrees on
+/// chunk size, and (debug) if a policy violates its serve contract.
+pub(crate) fn replay_tiers(
+    streams: &[&[Request]],
+    edges: &mut [&mut dyn CachePolicy],
+    parent: &mut dyn CachePolicy,
+) -> (Vec<TrafficCounter>, TrafficCounter) {
     assert_eq!(
-        traces.len(),
+        streams.len(),
         edges.len(),
         "one trace per edge cache required"
     );
-    for e in edges.iter() {
-        assert_eq!(
-            e.chunk_size(),
-            parent.chunk_size(),
-            "edge/parent chunk size mismatch"
-        );
-    }
     let k = parent.chunk_size();
-    let k_bytes = k.bytes();
-    let mut report = FleetReport {
-        edges: vec![TrafficCounter::default(); edges.len()],
-        parent: TrafficCounter::default(),
-        origin_bytes: 0,
+    for e in edges.iter() {
+        assert_eq!(e.chunk_size(), k, "edge/parent chunk size mismatch");
+    }
+    let mut edge_traffic = vec![TrafficCounter::default(); edges.len()];
+    let mut parent_traffic = TrafficCounter::default();
+    // A serve must deliver every requested chunk.
+    let complete = |d: &Decision, chunks| {
+        d.serve_outcome()
+            .is_none_or(|o| o.served_chunks() == chunks)
     };
-
-    // K-way merge by timestamp (stable: lower edge index wins ties), so
-    // the parent sees redirects in true arrival order.
-    let mut cursors = vec![0usize; traces.len()];
+    let mut cursors = vec![0usize; streams.len()];
     loop {
         let mut next: Option<(usize, &Request)> = None;
-        for (i, trace) in traces.iter().enumerate() {
-            if let Some(r) = trace.requests.get(cursors[i]) {
-                let better = match next {
-                    None => true,
-                    Some((_, best)) => r.t < best.t,
-                };
-                if better {
+        for (i, stream) in streams.iter().enumerate() {
+            if let Some(r) = stream.get(cursors[i]) {
+                if next.is_none_or(|(_, best)| r.t < best.t) {
                     next = Some((i, r));
                 }
             }
@@ -95,31 +114,16 @@ pub fn replay_fleet(
         };
         cursors[i] += 1;
         let chunks = request.chunk_len(k);
-        match edges[i].handle_request(request) {
-            Decision::Serve(o) => {
-                report.edges[i].record_hit(o.hit_chunks * k_bytes);
-                report.edges[i].record_fill(o.filled_chunks * k_bytes);
-                report.edges[i].served_requests += 1;
-            }
-            Decision::Redirect => {
-                report.edges[i].record_redirect(chunks * k_bytes);
-                report.edges[i].redirected_requests += 1;
-                match parent.handle_request(request) {
-                    Decision::Serve(o) => {
-                        report.parent.record_hit(o.hit_chunks * k_bytes);
-                        report.parent.record_fill(o.filled_chunks * k_bytes);
-                        report.parent.served_requests += 1;
-                    }
-                    Decision::Redirect => {
-                        report.parent.record_redirect(chunks * k_bytes);
-                        report.parent.redirected_requests += 1;
-                        report.origin_bytes = report.origin_bytes.saturating_add(chunks * k_bytes);
-                    }
-                }
-            }
+        let decision = edges[i].handle_request(request);
+        debug_assert!(complete(&decision, chunks));
+        edge_traffic[i] += TrafficCounter::of_decision(&decision, chunks, k);
+        if decision.is_redirect() {
+            let decision = parent.handle_request(request);
+            debug_assert!(complete(&decision, chunks));
+            parent_traffic += TrafficCounter::of_decision(&decision, chunks, k);
         }
     }
-    report
+    (edge_traffic, parent_traffic)
 }
 
 #[cfg(test)]

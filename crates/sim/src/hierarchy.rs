@@ -20,7 +20,9 @@
 
 use vcdn_core::CachePolicy;
 use vcdn_trace::Trace;
-use vcdn_types::{Decision, TrafficCounter};
+use vcdn_types::TrafficCounter;
+
+use crate::fleet::replay_tiers;
 
 /// Per-tier and combined results of a hierarchy replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,7 +57,8 @@ impl HierarchyReport {
     }
 }
 
-/// Replays `trace` through an edge/parent pair.
+/// Replays `trace` through an edge/parent pair: a one-edge fleet
+/// ([`crate::fleet::replay_fleet`]).
 ///
 /// # Panics
 ///
@@ -66,49 +69,13 @@ pub fn replay_hierarchy(
     edge: &mut dyn CachePolicy,
     parent: &mut dyn CachePolicy,
 ) -> HierarchyReport {
-    assert_eq!(
-        edge.chunk_size(),
-        parent.chunk_size(),
-        "edge/parent chunk size mismatch"
-    );
-    let k = edge.chunk_size().bytes();
-    let mut report = HierarchyReport {
-        edge: TrafficCounter::default(),
-        parent: TrafficCounter::default(),
-        origin_bytes: 0,
-        origin_requests: 0,
-    };
-    for request in &trace.requests {
-        let chunks = request.chunk_len(edge.chunk_size());
-        match edge.handle_request(request) {
-            Decision::Serve(o) => {
-                debug_assert_eq!(o.served_chunks(), chunks);
-                report.edge.record_hit(o.hit_chunks * k);
-                report.edge.record_fill(o.filled_chunks * k);
-                report.edge.served_requests += 1;
-            }
-            Decision::Redirect => {
-                report.edge.record_redirect(chunks * k);
-                report.edge.redirected_requests += 1;
-                // The redirected user retries at the parent location.
-                match parent.handle_request(request) {
-                    Decision::Serve(o) => {
-                        debug_assert_eq!(o.served_chunks(), chunks);
-                        report.parent.record_hit(o.hit_chunks * k);
-                        report.parent.record_fill(o.filled_chunks * k);
-                        report.parent.served_requests += 1;
-                    }
-                    Decision::Redirect => {
-                        report.parent.record_redirect(chunks * k);
-                        report.parent.redirected_requests += 1;
-                        report.origin_bytes = report.origin_bytes.saturating_add(chunks * k);
-                        report.origin_requests += 1;
-                    }
-                }
-            }
-        }
+    let (edges, parent) = replay_tiers(&[trace.requests.as_slice()], &mut [edge], parent);
+    HierarchyReport {
+        edge: edges.first().copied().unwrap_or_default(),
+        parent,
+        origin_bytes: parent.redirect_bytes,
+        origin_requests: parent.redirected_requests,
     }
-    report
 }
 
 #[cfg(test)]
@@ -179,12 +146,12 @@ mod tests {
         let r = HierarchyReport {
             edge: {
                 let mut t = TrafficCounter::default();
-                t.record_fill(100);
+                t.fill_bytes += 100;
                 t
             },
             parent: {
                 let mut t = TrafficCounter::default();
-                t.record_fill(50);
+                t.fill_bytes += 50;
                 t
             },
             origin_bytes: 10,

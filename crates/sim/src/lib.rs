@@ -47,6 +47,6 @@ pub use models::{DiskIoModel, EgressModel, EgressSummary};
 pub use observe::{
     grid_jsonl, replay_with_telemetry, telemetry_cell, TelemetryConfig, TelemetryObserver,
 };
-pub use replay::{DecisionCtx, ReplayConfig, ReplayObserver, ReplayReport, Replayer, WindowStat};
+pub use replay::{DecisionCtx, ReplayConfig, ReplayObserver, ReplayReport, Replayer};
 pub use report::Table;
 pub use runner::{run_grid, worker_count, Cell, CellResult, GridRun};

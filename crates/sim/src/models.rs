@@ -83,13 +83,13 @@ impl EgressModel {
     pub fn summarize(&self, report: &ReplayReport) -> EgressSummary {
         let mut s = EgressSummary::default();
         for w in &report.windows {
-            if w.traffic.requested_bytes() == 0 {
+            if w.requested_bytes() == 0 {
                 continue;
             }
             s.active_windows += 1;
-            if w.traffic.served_bytes() >= self.capacity_bytes_per_window {
+            if w.served_bytes() >= self.capacity_bytes_per_window {
                 s.saturated_windows += 1;
-                s.wasted_fill_bytes = s.wasted_fill_bytes.saturating_add(w.traffic.fill_bytes);
+                s.wasted_fill_bytes = s.wasted_fill_bytes.saturating_add(w.fill_bytes);
             }
         }
         s
@@ -99,13 +99,13 @@ impl EgressModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcdn_types::{CostModel, Timestamp};
+    use vcdn_types::CostModel;
 
     fn traffic(hit: u64, fill: u64, redirect: u64) -> TrafficCounter {
         let mut t = TrafficCounter::default();
-        t.record_hit(hit);
-        t.record_fill(fill);
-        t.record_redirect(redirect);
+        t.hit_bytes += hit;
+        t.fill_bytes += fill;
+        t.redirect_bytes += redirect;
         t
     }
 
@@ -139,24 +139,12 @@ mod tests {
 
     #[test]
     fn egress_saturation_counts_wasted_fill() {
-        use crate::replay::{ReplayReport, WindowStat};
+        use crate::replay::ReplayReport;
         let windows = vec![
-            WindowStat {
-                start: Timestamp(0),
-                traffic: traffic(900, 200, 0),
-            }, // sat
-            WindowStat {
-                start: Timestamp(1),
-                traffic: traffic(100, 50, 0),
-            }, // not
-            WindowStat {
-                start: Timestamp(2),
-                traffic: TrafficCounter::default(),
-            }, // idle
-            WindowStat {
-                start: Timestamp(3),
-                traffic: traffic(1_000, 0, 10),
-            }, // sat
+            traffic(900, 200, 0),      // sat
+            traffic(100, 50, 0),       // not
+            TrafficCounter::default(), // idle
+            traffic(1_000, 0, 10),     // sat
         ];
         let report = ReplayReport {
             policy: "test",

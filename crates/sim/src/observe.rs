@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use vcdn_core::CachePolicy;
 use vcdn_obs::topk::{SpaceSaving, TopKRecord};
-use vcdn_obs::window::{WindowInput, WindowRecord, WindowRing};
+use vcdn_obs::window::{WindowRecord, WindowRing};
 use vcdn_obs::{
     default_rules, DecisionEvent, EventRing, MetricId, MetricKind, MetricsRegistry, MetricsSink,
     PolicyObs, ReplaySampler, Rule, TelemetryBundle, Verdict, Watchdog,
@@ -33,8 +33,8 @@ pub struct TelemetryConfig {
     /// Decision events retained (the [`EventRing`] capacity); older events
     /// are displaced and counted as dropped.
     pub event_capacity: usize,
-    /// Wall-clock-time every `handle_request` call into the
-    /// `decision_latency_ns` timing histogram. Inherently
+    /// Wall-clock-time every decide step (`handle_request` plus its
+    /// accounting) into the `decision_latency_ns` timing histogram. Inherently
     /// non-deterministic, so the histogram never appears in exported
     /// bundles; off by default.
     pub time_decisions: bool,
@@ -135,7 +135,6 @@ pub struct TelemetryObserver {
     windows: Option<WindowRing>,
     watchdog: Watchdog,
     costs: CostModel,
-    chunk_bytes: u64,
     time_decisions: bool,
     meta: Vec<(String, Json)>,
 }
@@ -166,7 +165,6 @@ impl TelemetryObserver {
             // The unsharded replayer is one request stream.
             watchdog: Watchdog::new(default_rules(), cfg.costs, 1),
             costs: cfg.costs,
-            chunk_bytes: cfg.chunk_size.bytes(),
             time_decisions: telemetry.time_decisions,
             meta: Vec::new(),
         }
@@ -233,58 +231,31 @@ impl ReplayObserver for TelemetryObserver {
         if let Some(sketch) = self.topk.as_mut() {
             sketch.record(ChunkId::new(ctx.request.video, 0).packed());
         }
-        let (verdict, hit_b, fill_b, red_b, evicted) = match ctx.decision {
-            Decision::Serve(o) => (
-                Verdict::Serve {
-                    hit_chunks: o.hit_chunks,
-                    filled_chunks: o.filled_chunks,
-                },
-                o.hit_chunks.saturating_mul(self.chunk_bytes),
-                o.filled_chunks.saturating_mul(self.chunk_bytes),
-                0,
-                o.evicted.len() as u64,
-            ),
-            Decision::Redirect => (
-                Verdict::Redirect,
-                0,
-                0,
-                ctx.chunks.saturating_mul(self.chunk_bytes),
-                0,
-            ),
+        let verdict = match ctx.decision {
+            Decision::Serve(o) => Verdict::Serve {
+                hit_chunks: o.hit_chunks,
+                filled_chunks: o.filled_chunks,
+            },
+            Decision::Redirect => Verdict::Redirect,
         };
         self.ring.push(DecisionEvent::from_decision(
             ctx.seq,
             ctx.request,
             ctx.first_chunk,
-            ctx.chunks as u32,
             ctx.policy,
             verdict,
             ctx.detail,
-            evicted,
+            &ctx.input,
         ));
         self.sampler.record(
-            ctx.request.t.as_millis(),
-            hit_b,
-            fill_b,
-            red_b,
+            &ctx.input,
             ctx.occupancy_chunks,
             ctx.capacity_chunks,
             ctx.detail.cache_age_ms,
         );
         if let Some(ring) = self.windows.as_mut() {
-            let input = WindowInput {
-                t_ms: ctx.request.t.as_millis(),
-                hit_bytes: hit_b,
-                fill_bytes: fill_b,
-                redirect_bytes: red_b,
-                // fill_b is exactly filled_chunks · chunk_bytes.
-                filled_chunks: fill_b / self.chunk_bytes,
-                evicted_chunks: evicted,
-                request_chunks: ctx.chunks,
-                queue_gap: None,
-            };
             let watchdog = &mut self.watchdog;
-            ring.record(&input, &mut |w| watchdog.on_window(w));
+            ring.record(&ctx.input, &mut |w| watchdog.on_window(w));
         }
         if let Some(ns) = ctx.latency_ns {
             self.registry.observe(self.latency_id, ns);
@@ -415,30 +386,15 @@ mod tests {
         let (report, bundle) =
             replay_with_telemetry(&replayer(costs), &t, &mut cache, &TelemetryConfig::new());
         assert_eq!(bundle.windows_dropped, 0);
-        let mut hit = 0u64;
-        let mut fill = 0u64;
-        let mut red = 0u64;
-        let mut served = 0u64;
-        let mut redirected = 0u64;
+        let mut sum = vcdn_types::TrafficCounter::default();
         for (i, w) in bundle.windows.iter().enumerate() {
             assert_eq!(w.index, i as u64, "window indices must be contiguous");
-            hit += w.hit_bytes;
-            fill += w.fill_bytes;
-            red += w.redirect_bytes;
-            served += w.served_requests;
-            redirected += w.redirected_requests;
+            sum += w.traffic;
         }
-        assert_eq!(hit, report.overall.hit_bytes);
-        assert_eq!(fill, report.overall.fill_bytes);
-        assert_eq!(red, report.overall.redirect_bytes);
-        assert_eq!(served, report.overall.served_requests);
-        assert_eq!(redirected, report.overall.redirected_requests);
+        assert_eq!(sum, report.overall);
         // The replayer is a single stream: skew inputs must reflect that.
         for w in &bundle.windows {
-            assert_eq!(
-                w.max_stream_requests,
-                w.served_requests + w.redirected_requests
-            );
+            assert_eq!(w.max_stream_requests, w.traffic.total_requests());
             assert_eq!(w.queue_gap_count, 0, "no dispatcher, no gap sketch");
         }
     }

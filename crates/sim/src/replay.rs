@@ -10,17 +10,22 @@
 //! second half of the month ... to exclude the initial cache warmup phase"
 //! (§9); [`ReplayReport::steady`] implements exactly that, alongside
 //! hourly windows for the Figure 3 time series.
+//!
+//! `Kernel::step` is the one home of this Eq. 2 accounting rule: both
+//! [`Replayer`] and the sharded engine ([`crate::engine`]) run every
+//! request through it, and the multi-cache loops (hierarchy, fleet,
+//! co-located) add the same [`TrafficCounter::of_decision`] delta.
 
 use vcdn_core::CachePolicy;
-use vcdn_obs::DecisionDetail;
+use vcdn_obs::{DecisionDetail, WindowInput};
 use vcdn_trace::Trace;
-use vcdn_types::{CostModel, Decision, DurationMs, Request, Timestamp, TrafficCounter};
+use vcdn_types::{ChunkSize, CostModel, Decision, DurationMs, Request, Timestamp, TrafficCounter};
 
 /// Replay options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplayConfig {
     /// Chunk size used for byte accounting (must match the policy's).
-    pub chunk_size: vcdn_types::ChunkSize,
+    pub chunk_size: ChunkSize,
     /// Cost model used for efficiency reporting (must match the policy's).
     pub costs: CostModel,
     /// Metric window length (paper plots hourly series).
@@ -36,7 +41,7 @@ pub struct ReplayConfig {
 impl ReplayConfig {
     /// The paper's measurement setup: hourly windows, steady state over
     /// the second half.
-    pub fn new(chunk_size: vcdn_types::ChunkSize, costs: CostModel) -> Self {
+    pub fn new(chunk_size: ChunkSize, costs: CostModel) -> Self {
         ReplayConfig {
             chunk_size,
             costs,
@@ -75,8 +80,106 @@ impl ReplayConfig {
     /// [`ReplayConfig::new`] but with the per-request invariant checks
     /// off. The invariants stay enforced by the test suite, which replays
     /// the same policies with [`ReplayConfig::new`].
-    pub fn bench(chunk_size: vcdn_types::ChunkSize, costs: CostModel) -> Self {
+    pub fn bench(chunk_size: ChunkSize, costs: CostModel) -> Self {
         Self::new(chunk_size, costs).with_check_invariants(false)
+    }
+}
+
+/// Which accounting setting `policy` disagrees with, if any: chunk size
+/// or cost model. [`Replayer`] panics on it; the engine returns an error.
+pub(crate) fn policy_mismatch(
+    policy: &dyn CachePolicy,
+    chunk_size: ChunkSize,
+    costs: CostModel,
+) -> Option<&'static str> {
+    if policy.chunk_size() != chunk_size {
+        Some("chunk size")
+    } else if (policy.costs().alpha() - costs.alpha()).abs() > 1e-12 {
+        Some("cost model")
+    } else {
+        None
+    }
+}
+
+/// The per-request accounting step (see the module docs).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Kernel {
+    chunk_size: ChunkSize,
+    /// First instant counted as steady state.
+    steady_from: Timestamp,
+    check_invariants: bool,
+}
+
+impl Kernel {
+    /// A kernel for one run over `trace`: steady state starts at
+    /// `steady_after` of the trace horizon (its declared duration, else
+    /// its last timestamp plus 1 ms).
+    pub(crate) fn new(
+        trace: &Trace,
+        chunk_size: ChunkSize,
+        steady_after: f64,
+        check_invariants: bool,
+    ) -> Kernel {
+        let horizon = if trace.meta.duration > DurationMs::ZERO {
+            trace.meta.duration
+        } else {
+            DurationMs(trace.end_time().as_millis() + 1)
+        };
+        Kernel {
+            chunk_size,
+            steady_from: Timestamp((horizon.as_millis() as f64 * steady_after) as u64),
+            check_invariants,
+        }
+    }
+
+    /// Decides `request` on `policy`, checks the serve contract (when
+    /// invariants are on), adds the request's traffic to `overall` and,
+    /// from steady state on, to `steady`, and returns the decision with
+    /// the request's window input (its queue gap left for dispatchers).
+    #[inline]
+    // lint: hot
+    pub(crate) fn step(
+        &self,
+        policy: &mut dyn CachePolicy,
+        request: &Request,
+        overall: &mut TrafficCounter,
+        steady: &mut TrafficCounter,
+    ) -> (Decision, WindowInput) {
+        let chunks = request.chunk_len(self.chunk_size);
+        let decision = policy.handle_request(request);
+        let (filled_chunks, evicted_chunks) = match &decision {
+            Decision::Serve(o) => {
+                if self.check_invariants {
+                    assert_eq!(
+                        o.served_chunks(),
+                        chunks,
+                        "{}: serve must cover the full request",
+                        policy.name()
+                    );
+                    assert!(
+                        policy.disk_used_chunks() <= policy.disk_capacity_chunks(),
+                        "{}: capacity exceeded",
+                        policy.name()
+                    );
+                }
+                (o.filled_chunks, o.evicted.len() as u64)
+            }
+            Decision::Redirect => (0, 0),
+        };
+        let traffic = TrafficCounter::of_decision(&decision, chunks, self.chunk_size);
+        *overall += traffic;
+        if request.t >= self.steady_from {
+            *steady += traffic;
+        }
+        let input = WindowInput {
+            t_ms: request.t.as_millis(),
+            traffic,
+            filled_chunks,
+            evicted_chunks,
+            request_chunks: chunks,
+            queue_gap: None,
+        };
+        (decision, input)
     }
 }
 
@@ -88,12 +191,13 @@ pub struct DecisionCtx<'a> {
     pub seq: u64,
     /// The replayed request.
     pub request: &'a Request,
-    /// Requested chunks under the replay's chunk size.
-    pub chunks: u64,
     /// First requested chunk index.
     pub first_chunk: u32,
     /// The policy's decision.
     pub decision: &'a Decision,
+    /// The request's accounted traffic delta, disk churn and size in
+    /// chunks, exactly as the replay counted them.
+    pub input: WindowInput,
     /// The policy's cost/age detail for this decision.
     pub detail: DecisionDetail,
     /// The deciding policy's name.
@@ -102,8 +206,9 @@ pub struct DecisionCtx<'a> {
     pub occupancy_chunks: u64,
     /// Disk capacity in chunks.
     pub capacity_chunks: u64,
-    /// Wall time `handle_request` took, when the observer asked for
-    /// timing (non-deterministic — excluded from deterministic exports).
+    /// Wall time the decide step (`handle_request` plus its accounting)
+    /// took, when the observer asked for timing (non-deterministic —
+    /// excluded from deterministic exports).
     pub latency_ns: Option<u64>,
 }
 
@@ -118,7 +223,7 @@ pub trait ReplayObserver {
     /// work at compile time.
     const ACTIVE: bool = true;
 
-    /// Whether `handle_request` should be wall-clock timed for
+    /// Whether each decide step should be wall-clock timed for
     /// [`DecisionCtx::latency_ns`]. Defaults to `false`; timing is
     /// inherently non-deterministic.
     fn wants_timing(&self) -> bool {
@@ -136,15 +241,6 @@ impl ReplayObserver for () {
     fn on_decision(&mut self, _ctx: &DecisionCtx<'_>) {}
 }
 
-/// Per-window traffic statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowStat {
-    /// Window start time.
-    pub start: Timestamp,
-    /// Traffic in the window.
-    pub traffic: TrafficCounter,
-}
-
 /// Outcome of replaying one trace through one policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayReport {
@@ -155,8 +251,9 @@ pub struct ReplayReport {
     /// Traffic over the steady-state portion (the paper's reported
     /// numbers).
     pub steady: TrafficCounter,
-    /// Per-window traffic (window length per [`ReplayConfig::window`]).
-    pub windows: Vec<WindowStat>,
+    /// Per-window traffic: window `i` covers trace time
+    /// `[i · window, (i + 1) · window)` ([`ReplayConfig::window`]).
+    pub windows: Vec<TrafficCounter>,
     /// The cost model used for efficiency computation.
     pub costs: CostModel,
 }
@@ -221,94 +318,42 @@ impl Replayer {
         observer: &mut O,
     ) -> ReplayReport {
         let cfg = &self.config;
-        assert_eq!(
-            policy.chunk_size(),
-            cfg.chunk_size,
-            "policy/replayer chunk size mismatch"
-        );
+        let mismatch = policy_mismatch(policy, cfg.chunk_size, cfg.costs);
         assert!(
-            (policy.costs().alpha() - cfg.costs.alpha()).abs() < 1e-12,
-            "policy/replayer cost model mismatch"
+            mismatch.is_none(),
+            "policy/replayer {} mismatch",
+            mismatch.unwrap_or_default()
         );
-        let k = cfg.chunk_size.bytes();
-        let horizon = if trace.meta.duration > DurationMs::ZERO {
-            trace.meta.duration
-        } else {
-            DurationMs(trace.end_time().as_millis() + 1)
-        };
-        let steady_from = Timestamp((horizon.as_millis() as f64 * cfg.steady_after) as u64);
-
+        let kernel = Kernel::new(
+            trace,
+            cfg.chunk_size,
+            cfg.steady_after,
+            cfg.check_invariants,
+        );
         let mut overall = TrafficCounter::default();
         let mut steady = TrafficCounter::default();
-        let mut windows: Vec<WindowStat> = Vec::new();
+        let mut windows: Vec<TrafficCounter> = Vec::new();
         let window_ms = cfg.window.as_millis();
 
         let timed = O::ACTIVE && observer.wants_timing();
         for (seq, request) in trace.requests.iter().enumerate() {
-            let chunks = request.chunk_len(cfg.chunk_size);
-            let started = if timed {
-                Some(std::time::Instant::now())
-            } else {
-                None
-            };
-            let decision = policy.handle_request(request);
+            let started = timed.then(std::time::Instant::now);
+            let (decision, input) = kernel.step(policy, request, &mut overall, &mut steady);
             let latency_ns = started.map(|t| t.elapsed().as_nanos() as u64);
 
             let widx = (request.t.as_millis() / window_ms) as usize;
-            while windows.len() <= widx {
-                windows.push(WindowStat {
-                    start: Timestamp(windows.len() as u64 * window_ms),
-                    traffic: TrafficCounter::default(),
-                });
+            if windows.len() <= widx {
+                windows.resize(widx + 1, TrafficCounter::default());
             }
-            let in_steady = request.t >= steady_from;
-
-            let mut account = |f: &dyn Fn(&mut TrafficCounter)| {
-                f(&mut overall);
-                f(&mut windows[widx].traffic);
-                if in_steady {
-                    f(&mut steady);
-                }
-            };
-            match &decision {
-                Decision::Serve(o) => {
-                    if cfg.check_invariants {
-                        assert_eq!(
-                            o.served_chunks(),
-                            chunks,
-                            "{}: serve must cover the full request",
-                            policy.name()
-                        );
-                        assert!(
-                            policy.disk_used_chunks() <= policy.disk_capacity_chunks(),
-                            "{}: capacity exceeded",
-                            policy.name()
-                        );
-                    }
-                    let hit_b = o.hit_chunks * k;
-                    let fill_b = o.filled_chunks * k;
-                    account(&|t: &mut TrafficCounter| {
-                        t.record_hit(hit_b);
-                        t.record_fill(fill_b);
-                        t.served_requests += 1;
-                    });
-                }
-                Decision::Redirect => {
-                    let red_b = chunks * k;
-                    account(&|t: &mut TrafficCounter| {
-                        t.record_redirect(red_b);
-                        t.redirected_requests += 1;
-                    });
-                }
-            }
+            windows[widx] += input.traffic;
 
             if O::ACTIVE {
                 observer.on_decision(&DecisionCtx {
                     seq: seq as u64,
                     request,
-                    chunks,
                     first_chunk: request.chunk_range(cfg.chunk_size).start,
                     decision: &decision,
+                    input,
                     detail: policy.decision_detail(),
                     policy: policy.name(),
                     occupancy_chunks: policy.disk_used_chunks(),
@@ -371,7 +416,7 @@ mod tests {
         let window_sum = report
             .windows
             .iter()
-            .fold(TrafficCounter::default(), |acc, w| acc + w.traffic);
+            .fold(TrafficCounter::default(), |acc, w| acc + *w);
         assert_eq!(window_sum, report.overall);
     }
 
@@ -407,13 +452,11 @@ mod tests {
         let costs = CostModel::balanced();
         let mut cache = LruCache::new(CacheConfig::new(4, k100(), costs));
         let report = Replayer::new(ReplayConfig::new(k100(), costs)).replay(&trace, &mut cache);
+        // Window i starts at i hours: the request at 2h + 5ms is in [2].
         assert_eq!(report.windows.len(), 3);
-        assert_eq!(report.windows[1].traffic.total_requests(), 0);
-        assert_eq!(report.windows[2].traffic.total_requests(), 1);
-        assert_eq!(
-            report.windows[2].start,
-            Timestamp(DurationMs::from_hours(2).as_millis())
-        );
+        assert_eq!(report.windows[0].total_requests(), 1);
+        assert_eq!(report.windows[1].total_requests(), 0);
+        assert_eq!(report.windows[2].total_requests(), 1);
     }
 
     #[test]
@@ -503,7 +546,7 @@ mod tests {
             assert_eq!(ctx.seq, self.last_seq.map_or(0, |s| s + 1));
             self.last_seq = Some(ctx.seq);
             self.decisions += 1;
-            self.chunks += ctx.chunks;
+            self.chunks += ctx.input.request_chunks;
             match ctx.decision {
                 Decision::Serve(_) => self.serves += 1,
                 Decision::Redirect => self.redirects += 1,

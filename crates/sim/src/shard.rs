@@ -19,7 +19,7 @@ use vcdn_core::CachePolicy;
 use vcdn_obs::{MetricsSink, PolicyObs};
 use vcdn_trace::Trace;
 use vcdn_types::float::exactly_zero;
-use vcdn_types::{ChunkId, Decision, TrafficCounter, VideoId};
+use vcdn_types::{ChunkId, TrafficCounter, VideoId};
 
 /// Maps video IDs to one of `servers` co-located caches through a
 /// fixed-size bucket space.
@@ -156,7 +156,6 @@ pub fn replay_colocated(
         assert_eq!(c.chunk_size(), k, "co-located chunk size mismatch");
     }
     let map = ShardMap::new(caches.len(), 4096);
-    let k_bytes = k.bytes();
     let mut servers = vec![TrafficCounter::default(); caches.len()];
     let mut rr = 0usize;
     for request in &trace.requests {
@@ -167,18 +166,8 @@ pub fn replay_colocated(
                 rr
             }
         };
-        let chunks = request.chunk_len(k);
-        match caches[i].handle_request(request) {
-            Decision::Serve(o) => {
-                servers[i].record_hit(o.hit_chunks * k_bytes);
-                servers[i].record_fill(o.filled_chunks * k_bytes);
-                servers[i].served_requests += 1;
-            }
-            Decision::Redirect => {
-                servers[i].record_redirect(chunks * k_bytes);
-                servers[i].redirected_requests += 1;
-            }
-        }
+        let decision = caches[i].handle_request(request);
+        servers[i] += TrafficCounter::of_decision(&decision, request.chunk_len(k), k);
     }
     // Count duplicates over the union of requested chunks.
     let mut requested: vcdn_types::FastSet<ChunkId> = vcdn_types::FastSet::default();

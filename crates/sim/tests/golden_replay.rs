@@ -7,13 +7,22 @@
 //!
 //! The trace is built by hand (not generated) so the goldens only depend
 //! on the policies and the replayer, never on the workload generator.
+//!
+//! The same trace also pins every other loop that turns decisions into
+//! traffic — the hierarchy, the fleet, the co-located group and the
+//! sharded engine — as exact `(hit, fill, redirect, served, redirected)`
+//! tuples, so a change to the shared accounting shows up in each of them.
 
 use vcdn_core::{
     CacheConfig, CachePolicy, CafeCache, CafeConfig, PsychicCache, PsychicConfig, XlruCache,
 };
-use vcdn_sim::{ReplayConfig, ReplayReport, Replayer};
+use vcdn_sim::engine::{EngineConfig, ShardedEngine};
+use vcdn_sim::shard::{replay_colocated, Assignment};
+use vcdn_sim::{replay_fleet, replay_hierarchy, ReplayConfig, ReplayReport, Replayer};
 use vcdn_trace::{Trace, TraceMeta};
-use vcdn_types::{ByteRange, ChunkSize, CostModel, DurationMs, Request, Timestamp, VideoId};
+use vcdn_types::{
+    ByteRange, ChunkSize, CostModel, DurationMs, Request, Timestamp, TrafficCounter, VideoId,
+};
 
 /// Chunk size: 100 bytes, so chunk counts read directly off byte ranges.
 const K: u64 = 100;
@@ -143,4 +152,160 @@ fn golden_trace_is_well_formed() {
     // 3 videos, 14 requests, 31 requested chunks in total.
     let chunks: u64 = trace.requests.iter().map(|r| r.chunk_len(k())).sum();
     assert_eq!(chunks, 31);
+}
+
+/// `(hit, fill, redirect, served, redirected)` — the full accounting of a
+/// counter, compared as one value.
+type Pin = (u64, u64, u64, u64, u64);
+
+fn pin(t: &TrafficCounter) -> Pin {
+    (
+        t.hit_bytes,
+        t.fill_bytes,
+        t.redirect_bytes,
+        t.served_requests,
+        t.redirected_requests,
+    )
+}
+
+fn alpha2() -> CostModel {
+    CostModel::from_alpha(ALPHA).expect("valid alpha")
+}
+
+/// The edge tier of the multi-tier pins: Cafe on the golden disk.
+fn edge_cache() -> Box<dyn CachePolicy> {
+    Box::new(CafeCache::new(CafeConfig::new(DISK, k(), alpha2())))
+}
+
+/// The parent tier: a half-size xLRU, small enough that it redirects to
+/// the origin too.
+fn parent_cache() -> XlruCache {
+    XlruCache::new(CacheConfig::new(DISK / 2, k(), alpha2()))
+}
+
+/// A second edge's trace: the golden requests 30 s later, each for the
+/// next video id, so the two edges overlap on two of four videos.
+fn second_edge_trace() -> Trace {
+    let golden = golden_trace();
+    let requests = golden
+        .requests
+        .iter()
+        .map(|r| {
+            Request::new(
+                VideoId(r.video.0 + 1),
+                r.bytes,
+                Timestamp(r.t.as_millis() + 30_000),
+            )
+        })
+        .collect();
+    Trace::new(
+        TraceMeta {
+            name: "golden-b".into(),
+            ..golden.meta
+        },
+        requests,
+    )
+}
+
+#[test]
+fn hierarchy_golden_accounting() {
+    let mut edge = edge_cache();
+    let mut parent = parent_cache();
+    let report = replay_hierarchy(&golden_trace(), edge.as_mut(), &mut parent);
+    assert_eq!(pin(&report.edge), (1_400, 900, 800, 10, 4));
+    assert_eq!(pin(&report.parent), (200, 400, 200, 3, 1));
+    assert_eq!((report.origin_bytes, report.origin_requests), (200, 1));
+}
+
+#[test]
+fn fleet_golden_accounting_one_edge() {
+    let mut edges = vec![edge_cache()];
+    let mut parent = parent_cache();
+    let report = replay_fleet(&[golden_trace()], &mut edges, &mut parent);
+    assert_eq!(pin(&report.edges[0]), (1_400, 900, 800, 10, 4));
+    assert_eq!(pin(&report.parent), (200, 400, 200, 3, 1));
+    assert_eq!(report.origin_bytes, 200);
+}
+
+#[test]
+fn fleet_golden_accounting_two_edges() {
+    let mut edges = vec![edge_cache(), edge_cache()];
+    let mut parent = parent_cache();
+    let report = replay_fleet(
+        &[golden_trace(), second_edge_trace()],
+        &mut edges,
+        &mut parent,
+    );
+    assert_eq!(pin(&report.edges[0]), (1_400, 900, 800, 10, 4));
+    assert_eq!(pin(&report.edges[1]), (1_400, 900, 800, 10, 4));
+    assert_eq!(pin(&report.parent), (100, 800, 700, 4, 4));
+    assert_eq!(report.origin_bytes, 700);
+}
+
+#[test]
+fn colocated_golden_accounting() {
+    let expected: [(Assignment, [Pin; 2], u64, u64); 2] = [
+        (
+            Assignment::Sharded,
+            [(600, 400, 0, 5, 0), (1_200, 700, 200, 8, 1)],
+            10,
+            10,
+        ),
+        (
+            Assignment::RoundRobin,
+            [(400, 700, 500, 5, 2), (500, 700, 300, 5, 2)],
+            8,
+            12,
+        ),
+    ];
+    for (assignment, servers, distinct, total) in expected {
+        let mut caches: Vec<Box<dyn CachePolicy>> = (0..2)
+            .map(|_| {
+                Box::new(XlruCache::new(CacheConfig::new(DISK, k(), alpha2())))
+                    as Box<dyn CachePolicy>
+            })
+            .collect();
+        let report = replay_colocated(&golden_trace(), &mut caches, assignment);
+        let got: Vec<Pin> = report.servers.iter().map(pin).collect();
+        assert_eq!(got, servers, "{assignment:?}");
+        assert_eq!(
+            (report.distinct_cached_chunks, report.total_cached_chunks),
+            (distinct, total),
+            "{assignment:?}"
+        );
+    }
+}
+
+/// Runs the golden trace through an xLRU-sharded engine with steady state
+/// from 20% of the hour (12 min), so the last three requests are steady.
+fn engine_pins(shards: usize, disk: u64, workers: usize) -> (Pin, Pin) {
+    let cfg = EngineConfig::new(shards, disk, k(), alpha2())
+        .expect("valid engine shape")
+        .with_steady_after(0.2);
+    let mut engine =
+        ShardedEngine::try_new(cfg, |_, cache| Box::new(XlruCache::new(cache))).expect("engine");
+    let report = engine.run(&golden_trace(), workers);
+    (
+        pin(&report.aggregate_overall()),
+        pin(&report.aggregate_steady()),
+    )
+}
+
+#[test]
+fn one_shard_engine_golden_accounting() {
+    for workers in [1, 3] {
+        let (overall, steady) = engine_pins(1, DISK, workers);
+        // One shard is the plain replay: overall equals GOLDEN_XLRU.
+        assert_eq!(overall, (1_000, 1_000, 1_100, 8, 6), "{workers} workers");
+        assert_eq!(steady, (400, 100, 200, 2, 1), "{workers} workers");
+    }
+}
+
+#[test]
+fn three_shard_engine_golden_accounting() {
+    for workers in [1, 3] {
+        let (overall, steady) = engine_pins(3, 2 * DISK, workers);
+        assert_eq!(overall, (1_300, 1_200, 600, 10, 4), "{workers} workers");
+        assert_eq!(steady, (200, 300, 200, 2, 1), "{workers} workers");
+    }
 }

@@ -13,11 +13,13 @@
 //! a chunk is fetched and stored in full even when requested partially
 //! (Section 4.2 of the paper), and using the same unit on all three buckets
 //! keeps the identity `hit + fill + redirect = requested` exact.
+//! [`TrafficCounter::of_decision`] is the one place that rule turns a
+//! decision into bytes; every replay loop adds its delta.
 
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use crate::{cost::CostModel, impl_json_struct};
+use crate::{cost::CostModel, impl_json_struct, ChunkSize, Decision};
 
 /// Accumulated request/traffic counters for a replay (or a window of one).
 ///
@@ -27,9 +29,9 @@ use crate::{cost::CostModel, impl_json_struct};
 /// use vcdn_types::{CostModel, TrafficCounter};
 ///
 /// let mut t = TrafficCounter::default();
-/// t.record_hit(80);
-/// t.record_fill(10);
-/// t.record_redirect(10);
+/// t.hit_bytes += 80;
+/// t.fill_bytes += 10;
+/// t.redirect_bytes += 10;
 /// let m = CostModel::balanced();
 /// assert!((t.efficiency(m) - 0.8).abs() < 1e-12);
 /// assert!((t.ingress_pct() - 10.0 / 90.0 * 100.0).abs() < 1e-9);
@@ -58,19 +60,32 @@ impl_json_struct!(TrafficCounter {
 });
 
 impl TrafficCounter {
-    /// Records `bytes` served from cache.
-    pub fn record_hit(&mut self, bytes: u64) {
-        self.hit_bytes += bytes;
-    }
-
-    /// Records `bytes` served via cache-fill (ingress).
-    pub fn record_fill(&mut self, bytes: u64) {
-        self.fill_bytes += bytes;
-    }
-
-    /// Records `bytes` redirected away.
-    pub fn record_redirect(&mut self, bytes: u64) {
-        self.redirect_bytes += bytes;
+    /// The traffic of one decided request of `request_chunks` chunks: a
+    /// serve counts its hit and filled chunks, a redirect counts every
+    /// requested chunk, all in whole-chunk bytes (§4.2, Eq. 2). Exactly
+    /// one of `served_requests`/`redirected_requests` is 1. Byte products
+    /// saturate rather than wrap.
+    #[inline]
+    // lint: hot
+    pub fn of_decision(
+        decision: &Decision,
+        request_chunks: u64,
+        chunk_size: ChunkSize,
+    ) -> TrafficCounter {
+        let k = chunk_size.bytes();
+        match decision {
+            Decision::Serve(o) => TrafficCounter {
+                hit_bytes: o.hit_chunks.saturating_mul(k),
+                fill_bytes: o.filled_chunks.saturating_mul(k),
+                served_requests: 1,
+                ..TrafficCounter::default()
+            },
+            Decision::Redirect => TrafficCounter {
+                redirect_bytes: request_chunks.saturating_mul(k),
+                redirected_requests: 1,
+                ..TrafficCounter::default()
+            },
+        }
     }
 
     /// Total requested bytes: every requested byte is a hit, a fill or a
@@ -176,9 +191,9 @@ mod tests {
 
     fn sample() -> TrafficCounter {
         let mut t = TrafficCounter::default();
-        t.record_hit(700);
-        t.record_fill(200);
-        t.record_redirect(100);
+        t.hit_bytes += 700;
+        t.fill_bytes += 200;
+        t.redirect_bytes += 100;
         t.served_requests = 9;
         t.redirected_requests = 1;
         t
@@ -214,13 +229,13 @@ mod tests {
     fn efficiency_bounds() {
         // All fills, alpha -> large: efficiency approaches 1 - C_F -> -1.
         let mut t = TrafficCounter::default();
-        t.record_fill(100);
+        t.fill_bytes += 100;
         let m = CostModel::from_alpha(1e9).unwrap();
         assert!(t.efficiency(m) > -1.0 - 1e-9);
         assert!(t.efficiency(m) < -0.99);
         // All hits: efficiency 1.
         let mut t = TrafficCounter::default();
-        t.record_hit(100);
+        t.hit_bytes += 100;
         assert_eq!(t.efficiency(CostModel::balanced()), 1.0);
     }
 
@@ -260,6 +275,26 @@ mod tests {
         let t = sample();
         assert!((t.ingress_pct() - 200.0 / 900.0 * 100.0).abs() < 1e-9);
         assert!((t.redirect_pct() - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn decision_delta_counts_whole_chunks_and_one_request() {
+        use crate::ServeOutcome;
+        let k = ChunkSize::new(100).unwrap();
+        let serve = Decision::Serve(ServeOutcome {
+            hit_chunks: 2,
+            filled_chunks: 1,
+            evicted: vec![],
+        });
+        let d = TrafficCounter::of_decision(&serve, 3, k);
+        assert_eq!((d.hit_bytes, d.fill_bytes, d.redirect_bytes), (200, 100, 0));
+        assert_eq!((d.served_requests, d.redirected_requests), (1, 0));
+        let r = TrafficCounter::of_decision(&Decision::Redirect, 3, k);
+        assert_eq!((r.hit_bytes, r.fill_bytes, r.redirect_bytes), (0, 0, 300));
+        assert_eq!((r.served_requests, r.redirected_requests), (0, 1));
+        // Products saturate instead of wrapping.
+        let huge = TrafficCounter::of_decision(&Decision::Redirect, u64::MAX, k);
+        assert_eq!(huge.redirect_bytes, u64::MAX);
     }
 
     #[test]

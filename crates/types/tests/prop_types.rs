@@ -128,9 +128,9 @@ fn efficiency_bounds_and_identity() {
         let redirect = rng.range(0, 1_000_000);
         let alpha = rng.f64_range(0.05, 20.0);
         let mut t = TrafficCounter::default();
-        t.record_hit(hit);
-        t.record_fill(fill);
-        t.record_redirect(redirect);
+        t.hit_bytes += hit;
+        t.fill_bytes += fill;
+        t.redirect_bytes += redirect;
         let m = CostModel::from_alpha(alpha).expect("valid alpha");
         let e = t.efficiency(m);
         assert!(
@@ -157,9 +157,9 @@ fn traffic_counter_addition_is_fieldwise() {
     for_each_case(|rng, case| {
         let mk = |rng: &mut TestRng| {
             let mut t = TrafficCounter::default();
-            t.record_hit(rng.range(0, 1000));
-            t.record_fill(rng.range(0, 1000));
-            t.record_redirect(rng.range(0, 1000));
+            t.hit_bytes += rng.range(0, 1000);
+            t.fill_bytes += rng.range(0, 1000);
+            t.redirect_bytes += rng.range(0, 1000);
             t
         };
         let (ta, tb) = (mk(rng), mk(rng));
@@ -199,9 +199,9 @@ fn json_roundtrips_arbitrary_values() {
         assert_eq!(back, r, "case {case}");
 
         let mut t = TrafficCounter::default();
-        t.record_hit(rng.next() >> 8);
-        t.record_fill(rng.next() >> 8);
-        t.record_redirect(rng.next() >> 8);
+        t.hit_bytes += rng.next() >> 8;
+        t.fill_bytes += rng.next() >> 8;
+        t.redirect_bytes += rng.next() >> 8;
         let back: TrafficCounter = json::from_str(&json::to_string(&t)).expect("parses");
         assert_eq!(back, t, "case {case}");
 

@@ -138,7 +138,7 @@ fn windows_partition_overall_traffic() {
         let sum = report
             .windows
             .iter()
-            .fold(TrafficCounter::default(), |acc, w| acc + w.traffic);
+            .fold(TrafficCounter::default(), |acc, w| acc + *w);
         assert_eq!(sum, report.overall, "{} window leak", report.policy);
     }
 }
