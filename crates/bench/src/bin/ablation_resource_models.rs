@@ -13,12 +13,13 @@
 //!
 //! Usage: `ablation_resource_models [--scale f] [--days n]`
 
-use vcdn_bench::{arg_days, run_algo, sweep, trace_for, Algo, Scale, PAPER_DISK_BYTES};
+use vcdn_bench::{arg_days, run_algo_hourly, sweep, trace_for, Algo, Scale, PAPER_DISK_BYTES};
+use vcdn_obs::WindowStats;
 use vcdn_sim::report::{bytes, eff, Table};
 use vcdn_sim::runner::Cell;
 use vcdn_sim::{DiskIoModel, EgressModel, ReplayReport};
 use vcdn_trace::ServerProfile;
-use vcdn_types::{ChunkSize, CostModel, TrafficCounter};
+use vcdn_types::{ChunkSize, CostModel};
 
 fn main() {
     let scale = Scale::from_args();
@@ -30,11 +31,10 @@ fn main() {
 
     // Egress capacity: set to ~70% of the busiest hour's served traffic at
     // alpha=1, so peak hours saturate (the paper's constrained regime).
-    let probe = run_algo(Algo::Cafe, &trace, disk, k, CostModel::balanced());
+    let (_, probe) = run_algo_hourly(Algo::Cafe, &trace, disk, k, CostModel::balanced());
     let peak = probe
-        .windows
         .iter()
-        .map(TrafficCounter::served_bytes)
+        .map(|w| w.traffic.served_bytes())
         .max()
         .unwrap_or(0);
     let egress = EgressModel {
@@ -43,17 +43,17 @@ fn main() {
     let io = DiskIoModel::paper_default();
 
     let alphas = [0.5, 1.0, 2.0, 4.0];
-    let cells: Vec<Cell<ReplayReport>> = alphas
+    let cells: Vec<Cell<(ReplayReport, Vec<WindowStats>)>> = alphas
         .iter()
         .map(|&alpha| {
             let trace = &trace;
             let costs = CostModel::from_alpha(alpha).expect("valid alpha");
             Cell::new(format!("alpha={alpha} cafe"), move || {
-                run_algo(Algo::Cafe, trace, disk, k, costs)
+                run_algo_hourly(Algo::Cafe, trace, disk, k, costs)
             })
         })
         .collect();
-    let reports: Vec<ReplayReport> = sweep("ablation A7", cells).values();
+    let runs = sweep("ablation A7", cells).values();
 
     let mut table = Table::new(vec![
         "alpha",
@@ -63,8 +63,8 @@ fn main() {
         "saturated hours",
         "wasted fill (saturated)",
     ]);
-    for (alpha, r) in alphas.iter().zip(&reports) {
-        let sat = egress.summarize(r);
+    for (alpha, (r, windows)) in alphas.iter().zip(&runs) {
+        let sat = egress.summarize(windows);
         table.row(vec![
             format!("{alpha}"),
             eff(r.efficiency()),

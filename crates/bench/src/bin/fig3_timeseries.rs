@@ -4,12 +4,15 @@
 //! Replays the month-long Europe trace through xLRU, Cafe and Psychic and
 //! prints (a) the paper's headline summary — the steady-state efficiency
 //! deltas (paper: Cafe +10.1 %, Psychic +12.7 % over xLRU) — and (b) the
-//! hourly series behind the three panels. `--csv` emits the full hourly
-//! series; default output prints a 6-hourly digest to stay readable.
+//! hourly series behind the three panels, which a `WindowRing` observer
+//! collects from each replay. `--csv` emits the full hourly series;
+//! default output prints a 6-hourly digest to stay readable.
 //!
 //! Usage: `fig3_timeseries [--scale f] [--days n] [--csv]`
 
-use vcdn_bench::{arg_days, arg_switch, run_paper_three, trace_for, Scale, PAPER_DISK_BYTES};
+use vcdn_bench::{
+    arg_days, arg_switch, run_algo_hourly, run_paper_three, trace_for, Scale, PAPER_DISK_BYTES,
+};
 use vcdn_sim::report::{eff, Table};
 use vcdn_trace::ServerProfile;
 use vcdn_types::{ChunkSize, CostModel};
@@ -27,10 +30,10 @@ fn main() {
     );
     let trace = trace_for(ServerProfile::europe(), scale, days);
     eprintln!("trace: {} requests", trace.len());
-    let reports = run_paper_three(&trace, disk, k, costs);
+    let runs = run_paper_three(&trace, disk, k, costs, run_algo_hourly);
 
     // Headline summary (paper: xLRU -> Cafe +10.1%, -> Psychic +12.7%).
-    let base = reports[0].efficiency();
+    let base = runs[0].0.efficiency();
     let mut summary = Table::new(vec![
         "algo",
         "efficiency",
@@ -40,7 +43,7 @@ fn main() {
         "paper delta",
     ]);
     let paper_delta = ["-", "+0.101", "+0.127"];
-    for (i, r) in reports.iter().enumerate() {
+    for (i, (r, _)) in runs.iter().enumerate() {
         summary.row(vec![
             r.policy.to_string(),
             eff(r.efficiency()),
@@ -72,11 +75,11 @@ fn main() {
         "psy_red%",
         "psy_eff",
     ]);
-    let hours = reports.iter().map(|r| r.windows.len()).max().unwrap_or(0);
+    let hours = runs.iter().map(|(_, w)| w.len()).max().unwrap_or(0);
     for h in (0..hours).step_by(step) {
         let mut row = vec![h.to_string()];
-        for r in &reports {
-            match r.windows.get(h) {
+        for (_, windows) in &runs {
+            match windows.get(h).map(|w| &w.traffic) {
                 Some(w) => {
                     row.push(format!("{:.1}", w.ingress_pct()));
                     row.push(format!("{:.1}", w.redirect_pct()));

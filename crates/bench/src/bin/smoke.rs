@@ -1,19 +1,14 @@
 //! Quick calibration run: Europe profile, alpha in {1, 2}, one disk size.
 //! Not a paper figure; used to sanity-check workload calibration.
 
-use vcdn_bench::{run_paper_three, trace_for, Scale, PAPER_DISK_BYTES};
+use vcdn_bench::{arg_flag, run_algo, run_paper_three, trace_for, Scale, PAPER_DISK_BYTES};
 use vcdn_sim::report::{eff, pct, Table};
 use vcdn_trace::ServerProfile;
 use vcdn_types::{ChunkSize, CostModel};
 
 fn main() {
     let scale = Scale::from_args();
-    let days: u64 = std::env::args()
-        .collect::<Vec<_>>()
-        .windows(2)
-        .find(|w| w[0] == "--days")
-        .and_then(|w| w[1].parse().ok())
-        .unwrap_or(10);
+    let days: u64 = arg_flag("days").unwrap_or(10);
     let k = ChunkSize::DEFAULT;
     let disk = scale.disk_chunks(PAPER_DISK_BYTES, k);
     eprintln!("scale={} days={days} disk={disk} chunks", scale.0);
@@ -33,7 +28,7 @@ fn main() {
     let mut table = Table::new(vec!["alpha", "algo", "efficiency", "ingress%", "redirect%"]);
     for alpha in [1.0, 2.0] {
         let costs = CostModel::from_alpha(alpha).unwrap();
-        for r in run_paper_three(&trace, disk, k, costs) {
+        for r in run_paper_three(&trace, disk, k, costs, run_algo) {
             table.row(vec![
                 format!("{alpha}"),
                 r.policy.to_string(),

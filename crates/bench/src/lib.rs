@@ -20,6 +20,7 @@ use vcdn_core::{
     CacheConfig, CachePolicy, CafeCache, CafeConfig, LruCache, PsychicCache, PsychicConfig,
     XlruCache,
 };
+use vcdn_obs::{WindowRing, WindowStats};
 use vcdn_sim::runner::{run_grid, worker_count, Cell, GridRun};
 use vcdn_sim::{ReplayConfig, ReplayReport, Replayer};
 use vcdn_trace::{ServerProfile, Trace, TraceGenerator};
@@ -40,19 +41,16 @@ impl Scale {
         Scale(1.0 / 16.0)
     }
 
-    /// Reads the scale from the first CLI argument (`--scale <f>`), if
-    /// present; falls back to the default.
+    /// Reads the scale from the `--scale <f>` CLI flag (see
+    /// [`arg_flag`]), if present; falls back to the default.
     pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        for i in 0..args.len() {
-            if args[i] == "--scale" {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse::<f64>().ok()) {
-                    assert!(v > 0.0 && v.is_finite(), "--scale must be positive");
-                    return Scale(v);
-                }
+        match arg_flag::<f64>("scale") {
+            Some(v) => {
+                assert!(v > 0.0 && v.is_finite(), "--scale must be positive");
+                Scale(v)
             }
+            None => Self::default_experiment(),
         }
-        Self::default_experiment()
     }
 
     /// The scaled chunk count for a paper-scale disk of `bytes`.
@@ -70,12 +68,30 @@ impl Scale {
 /// `EXPERIMENTS.md`; change it and every number changes together).
 pub const EXPERIMENT_SEED: u64 = 20140413; // EuroSys'14 opening day
 
-/// Reads a `--name <value>` CLI flag.
+/// The value of the first `--name <value>` pair in `args`: `Ok(None)`
+/// when the flag is absent, an error naming the flag and the value when
+/// the value does not parse as `T`.
+pub fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let flag = format!("--{name}");
+    match args.windows(2).find(|w| w[0] == flag) {
+        None => Ok(None),
+        Some(w) => w[1]
+            .parse()
+            .map(Some)
+            .map_err(|_| format!("{flag}: cannot parse '{}'", w[1])),
+    }
+}
+
+/// Reads a `--name <value>` CLI flag; `None` when absent, so the caller's
+/// default applies. A value that does not parse ends the process with
+/// exit code 2 and the [`parse_flag`] message, instead of silently
+/// running at the default.
 pub fn arg_flag<T: std::str::FromStr>(name: &str) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == format!("--{name}"))
-        .and_then(|w| w[1].parse().ok())
+    parse_flag(&args, name).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Whether a bare `--name` CLI switch is present.
@@ -174,17 +190,39 @@ pub fn run_algo(
     Replayer::new(ReplayConfig::bench(k, costs)).replay(trace, policy.as_mut())
 }
 
-/// Replays `trace` through xLRU, Cafe and Psychic (figure order) via the
-/// deterministic grid runner, at most one worker per algorithm.
-pub fn run_paper_three(
+/// Like [`run_algo`], also returning the replay's hourly traffic windows
+/// (window `i` covers trace hour `i`), collected by a [`WindowRing`]
+/// observer — the per-window series behind Figure 3.
+pub fn run_algo_hourly(
+    algo: Algo,
     trace: &Trace,
     disk_chunks: u64,
     k: ChunkSize,
     costs: CostModel,
-) -> Vec<ReplayReport> {
-    let cells: Vec<Cell<ReplayReport>> = Algo::paper_three()
+) -> (ReplayReport, Vec<WindowStats>) {
+    let mut policy = algo.build(trace, disk_chunks, k, costs);
+    let mut hours = WindowRing::new(DurationMs::HOUR.as_millis(), usize::MAX);
+    let report = Replayer::new(ReplayConfig::bench(k, costs)).replay_observed(
+        trace,
+        policy.as_mut(),
+        &mut hours,
+    );
+    (report, hours.snapshot_windows())
+}
+
+/// Replays `trace` through xLRU, Cafe and Psychic (figure order) with
+/// `run` ([`run_algo`] or [`run_algo_hourly`]) via the deterministic grid
+/// runner, at most one worker per algorithm.
+pub fn run_paper_three<T: Send>(
+    trace: &Trace,
+    disk_chunks: u64,
+    k: ChunkSize,
+    costs: CostModel,
+    run: fn(Algo, &Trace, u64, ChunkSize, CostModel) -> T,
+) -> Vec<T> {
+    let cells: Vec<Cell<T>> = Algo::paper_three()
         .into_iter()
-        .map(|a| Cell::new(a.name(), move || run_algo(a, trace, disk_chunks, k, costs)))
+        .map(|a| Cell::new(a.name(), move || run(a, trace, disk_chunks, k, costs)))
         .collect();
     run_grid(cells, grid_workers().min(3)).values()
 }
@@ -252,6 +290,43 @@ pub fn bench_report(name: &str, iters: u32, mut f: impl FnMut()) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_flag_reads_values_and_defaults_when_absent() {
+        let argv = args(&["bin", "--days", "4", "--csv", "--out", "x.json"]);
+        assert_eq!(parse_flag::<u64>(&argv, "days"), Ok(Some(4)));
+        assert_eq!(
+            parse_flag::<String>(&argv, "out"),
+            Ok(Some("x.json".to_string()))
+        );
+        assert_eq!(parse_flag::<u64>(&argv, "reps"), Ok(None));
+        // A trailing flag with no value is absent, not an error.
+        assert_eq!(
+            parse_flag::<u64>(&args(&["bin", "--days"]), "days"),
+            Ok(None)
+        );
+        // The first occurrence wins.
+        let twice = args(&["bin", "--days", "2", "--days", "9"]);
+        assert_eq!(parse_flag::<u64>(&twice, "days"), Ok(Some(2)));
+    }
+
+    #[test]
+    fn parse_flag_rejects_unparsable_values() {
+        let argv = args(&["bin", "--interval-mins", "6h"]);
+        assert_eq!(
+            parse_flag::<u64>(&argv, "interval-mins"),
+            Err("--interval-mins: cannot parse '6h'".to_string())
+        );
+        let argv = args(&["bin", "--scale", "-"]);
+        assert_eq!(
+            parse_flag::<f64>(&argv, "scale"),
+            Err("--scale: cannot parse '-'".to_string())
+        );
+    }
 
     #[test]
     fn scale_maps_paper_disk() {

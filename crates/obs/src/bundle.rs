@@ -12,13 +12,14 @@
 //! line-by-line schema.
 
 use vcdn_types::json::{Json, ToJson};
+use vcdn_types::{ChunkId, CostModel};
 
 use crate::detect::AlertEvent;
 use crate::event::DecisionEvent;
 use crate::registry::MetricSnapshot;
 use crate::sampler::SeriesSample;
-use crate::topk::TopKRecord;
-use crate::window::WindowRecord;
+use crate::topk::{TopKEntry, TopKRecord};
+use crate::window::{WindowRecord, WindowStats};
 
 /// Schema tag written into every bundle's meta line.
 pub const SCHEMA: &str = "vcdn-telemetry/1";
@@ -77,6 +78,36 @@ impl TelemetryBundle {
     pub fn meta_entry(&mut self, key: &str, value: Json) -> &mut Self {
         self.meta.push((key.to_string(), value));
         self
+    }
+
+    /// Appends one shard's heavy-hitter table: `entries` in sketch order
+    /// (ranked from 1), each key a packed `ChunkId(video, 0)` unpacked
+    /// back to its video id.
+    pub fn push_topk(&mut self, shard: u32, entries: &[TopKEntry]) {
+        self.topk
+            .extend(entries.iter().zip(1..).map(|(e, rank)| TopKRecord {
+                shard,
+                rank,
+                video: e.key >> ChunkId::INDEX_BITS,
+                count: e.count,
+                err: e.err,
+            }));
+    }
+
+    /// Sets the window section: `windows` in index order, flattened
+    /// against `costs`, plus the count of closed windows a bounded ring
+    /// evicted before export.
+    pub fn set_windows<'a>(
+        &mut self,
+        windows: impl IntoIterator<Item = &'a WindowStats>,
+        dropped: u64,
+        costs: CostModel,
+    ) {
+        self.windows = windows
+            .into_iter()
+            .map(|w| WindowRecord::from_stats(w, costs))
+            .collect();
+        self.windows_dropped = dropped;
     }
 
     /// The bundle's meta line as a JSON object.

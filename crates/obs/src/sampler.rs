@@ -5,9 +5,13 @@
 //! curves, fill/redirect byte breakdowns and cache-age dynamics per server
 //! (§9, Figs. 3, 6) — but an end-of-run aggregate throws that structure
 //! away. [`ReplaySampler`] closes the gap: fed once per replayed request,
-//! it accumulates traffic per fixed interval of trace time and emits one
-//! [`SeriesSample`] per elapsed interval, including empty ones, so the
-//! series is a complete, evenly spaced grid.
+//! it is a running total over a [`WindowRing`] whose width is the sample
+//! interval. The ring decides which interval each request falls in and
+//! closes every elapsed interval, including empty ones, so the series is
+//! a complete, evenly spaced grid; each closed interval becomes one
+//! [`SeriesSample`] (its traffic, the running total, and the last
+//! decision's occupancy, capacity and cache age). The sampler itself does
+//! no interval arithmetic.
 //!
 //! Determinism: samples carry exact integer byte counters plus floats
 //! derived only from them, so a sampler fed the same replay produces
@@ -19,7 +23,7 @@
 use vcdn_types::json::{Json, ToJson};
 use vcdn_types::{CostModel, TrafficCounter};
 
-use crate::window::WindowInput;
+use crate::window::{int_field, traffic_fields, WindowInput, WindowRing, WindowStats};
 
 /// One interval's snapshot of replay behavior.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,57 +50,28 @@ pub struct SeriesSample {
 
 impl ToJson for SeriesSample {
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
+        let mut fields = vec![
             ("type".into(), Json::Str("sample".into())),
-            ("t_ms".into(), Json::Int(self.t_ms as i128)),
-            (
-                "hit_bytes".into(),
-                Json::Int(self.interval.hit_bytes as i128),
-            ),
-            (
-                "fill_bytes".into(),
-                Json::Int(self.interval.fill_bytes as i128),
-            ),
-            (
-                "redirect_bytes".into(),
-                Json::Int(self.interval.redirect_bytes as i128),
-            ),
-            (
-                "served_requests".into(),
-                Json::Int(self.interval.served_requests as i128),
-            ),
-            (
-                "redirected_requests".into(),
-                Json::Int(self.interval.redirected_requests as i128),
-            ),
+            int_field("t_ms", self.t_ms),
+        ];
+        fields.extend(traffic_fields(&self.interval));
+        fields.extend([
             ("efficiency".into(), Json::Float(self.efficiency)),
-            (
-                "cum_hit_bytes".into(),
-                Json::Int(self.cum.hit_bytes as i128),
-            ),
-            (
-                "cum_fill_bytes".into(),
-                Json::Int(self.cum.fill_bytes as i128),
-            ),
-            (
-                "cum_redirect_bytes".into(),
-                Json::Int(self.cum.redirect_bytes as i128),
-            ),
+            int_field("cum_hit_bytes", self.cum.hit_bytes),
+            int_field("cum_fill_bytes", self.cum.fill_bytes),
+            int_field("cum_redirect_bytes", self.cum.redirect_bytes),
             ("cum_efficiency".into(), Json::Float(self.cum_efficiency)),
-            (
-                "occupancy_chunks".into(),
-                Json::Int(self.occupancy_chunks as i128),
-            ),
-            (
-                "capacity_chunks".into(),
-                Json::Int(self.capacity_chunks as i128),
-            ),
+            int_field("occupancy_chunks", self.occupancy_chunks),
+            int_field("capacity_chunks", self.capacity_chunks),
             ("cache_age_ms".into(), self.cache_age_ms.to_json()),
-        ])
+        ]);
+        Json::Obj(fields)
     }
 }
 
-/// Accumulates per-request traffic into fixed trace-time intervals.
+/// A running total over a [`WindowRing`] at the sample interval: the
+/// ring decides which interval a request falls in, and each interval it
+/// closes becomes one [`SeriesSample`].
 ///
 /// Feed every request through [`ReplaySampler::record`]; call
 /// [`ReplaySampler::finish`] after the replay to flush the open interval
@@ -122,17 +97,36 @@ impl ToJson for SeriesSample {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReplaySampler {
-    interval_ms: u64,
+    ring: WindowRing,
+    series: Series,
+}
+
+/// The close callback's state: the last decision's gauges and the
+/// samples so far (the last sample's `cum` is the running total).
+#[derive(Debug, Clone)]
+struct Series {
     costs: CostModel,
-    /// Start of the currently open interval (trace ms).
-    open_start: u64,
-    open: TrafficCounter,
-    cum: TrafficCounter,
+    interval_ms: u64,
     occupancy_chunks: u64,
     capacity_chunks: u64,
     cache_age_ms: Option<f64>,
     samples: Vec<SeriesSample>,
-    saw_request: bool,
+}
+
+impl Series {
+    fn close(&mut self, w: &WindowStats) {
+        let cum = self.samples.last().map_or(w.traffic, |s| s.cum + w.traffic);
+        self.samples.push(SeriesSample {
+            t_ms: w.start_ms(self.interval_ms),
+            interval: w.traffic,
+            cum,
+            efficiency: w.traffic.efficiency(self.costs),
+            cum_efficiency: cum.efficiency(self.costs),
+            occupancy_chunks: self.occupancy_chunks,
+            capacity_chunks: self.capacity_chunks,
+            cache_age_ms: self.cache_age_ms,
+        });
+    }
 }
 
 impl ReplaySampler {
@@ -145,43 +139,29 @@ impl ReplaySampler {
     pub fn new(interval_ms: u64, costs: CostModel) -> ReplaySampler {
         assert!(interval_ms > 0, "sample interval must be > 0");
         ReplaySampler {
-            interval_ms,
-            costs,
-            open_start: 0,
-            open: TrafficCounter::default(),
-            cum: TrafficCounter::default(),
-            occupancy_chunks: 0,
-            capacity_chunks: 0,
-            cache_age_ms: None,
-            samples: Vec::new(),
-            saw_request: false,
+            // The samples are the retained series; the ring keeps one.
+            ring: WindowRing::new(interval_ms, 1),
+            series: Series {
+                costs,
+                interval_ms,
+                occupancy_chunks: 0,
+                capacity_chunks: 0,
+                cache_age_ms: None,
+                samples: Vec::new(),
+            },
         }
     }
 
     /// The configured interval (ms).
     pub fn interval_ms(&self) -> u64 {
-        self.interval_ms
-    }
-
-    fn close_open_interval(&mut self) {
-        self.samples.push(SeriesSample {
-            t_ms: self.open_start,
-            interval: self.open,
-            cum: self.cum,
-            efficiency: self.open.efficiency(self.costs),
-            cum_efficiency: self.cum.efficiency(self.costs),
-            occupancy_chunks: self.occupancy_chunks,
-            capacity_chunks: self.capacity_chunks,
-            cache_age_ms: self.cache_age_ms,
-        });
-        self.open = TrafficCounter::default();
-        self.open_start = self.open_start.saturating_add(self.interval_ms);
+        self.ring.width_ms()
     }
 
     /// Records one decided request: `input.traffic` is its delta
     /// ([`TrafficCounter::of_decision`]); `occupancy`/`capacity` are the
     /// policy's disk state after the decision, and `cache_age_ms` the
-    /// policy's cache age where defined.
+    /// policy's cache age where defined. Intervals the request closes are
+    /// sampled with the gauges of the decision before it.
     ///
     /// # Panics
     ///
@@ -194,33 +174,19 @@ impl ReplaySampler {
         capacity: u64,
         cache_age_ms: Option<f64>,
     ) {
-        let t_ms = input.t_ms;
-        assert!(
-            t_ms >= self.open_start,
-            "sampler fed out of order: t={t_ms}ms before interval start {}ms",
-            self.open_start
-        );
-        self.saw_request = true;
-        // Close every interval that ended before this request.
-        while t_ms >= self.open_start.saturating_add(self.interval_ms) {
-            self.close_open_interval();
-        }
-        self.open += input.traffic;
-        self.cum += input.traffic;
-        self.occupancy_chunks = occupancy;
-        self.capacity_chunks = capacity;
-        if cache_age_ms.is_some() {
-            self.cache_age_ms = cache_age_ms;
-        }
+        let series = &mut self.series;
+        self.ring.record(input, &mut |w| series.close(w));
+        series.occupancy_chunks = occupancy;
+        series.capacity_chunks = capacity;
+        series.cache_age_ms = cache_age_ms.or(series.cache_age_ms);
     }
 
     /// Flushes the open interval and returns the complete series. An
     /// entirely unfed sampler returns no samples.
     pub fn finish(mut self) -> Vec<SeriesSample> {
-        if self.saw_request {
-            self.close_open_interval();
-        }
-        self.samples
+        let series = &mut self.series;
+        self.ring.finish(&mut |w| series.close(w));
+        self.series.samples
     }
 }
 

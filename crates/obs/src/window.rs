@@ -1,12 +1,18 @@
 //! Tumbling telemetry windows on the logical trace clock, with mergeable
 //! per-window sketches in a bounded ring.
 //!
-//! The sampler ([`crate::ReplaySampler`]) answers "what did the whole run
-//! look like over time"; the *window plane* answers the operator's
-//! question: "is the cache healthy **right now**" — per-window traffic
-//! deltas, Eq. 2 interval efficiency, and log-bucketed sketch snapshots
-//! that a watchdog ([`crate::detect`]) can evaluate the moment a window
-//! closes. Three properties drive the design:
+//! This is the one time-series plane: [`WindowRing::record`] is the only
+//! code that decides which trace-time window a request falls in. A
+//! telemetry run uses it at two widths. At the sample interval, the
+//! sampler ([`crate::ReplaySampler`]) keeps a running total over a ring
+//! and answers "what did the whole run look like over time". At the
+//! health-window width, the ring answers the operator's question: "is the
+//! cache healthy **right now**" — per-window traffic deltas, Eq. 2
+//! interval efficiency, and log-bucketed sketch snapshots that a watchdog
+//! ([`crate::detect`]) can evaluate the moment a window closes. A bare
+//! ring also observes a replay directly (`vcdn-sim` implements its
+//! `ReplayObserver` for [`WindowRing`]); that is how Figure 3's hourly
+//! series is collected. Three properties drive the design:
 //!
 //! * **Logical clock.** Windows tumble on *trace time* (default one hour
 //!   of trace time), never wall-clock, so the whole plane is a pure
@@ -69,6 +75,12 @@ impl WindowStats {
             index,
             ..WindowStats::default()
         }
+    }
+
+    /// The window's first trace instant (ms) on a grid of `width_ms`-wide
+    /// windows.
+    pub fn start_ms(&self, width_ms: u64) -> u64 {
+        self.index.saturating_mul(width_ms)
     }
 
     /// Whether the window saw no traffic and no sketch observations.
@@ -184,54 +196,42 @@ impl WindowRecord {
     }
 }
 
+/// A `"key": integer` field of an exported line.
+pub(crate) fn int_field(key: &str, value: u64) -> (String, Json) {
+    (key.into(), Json::Int(value as i128))
+}
+
+/// The five traffic counters of one window or sample line, in export
+/// order.
+pub(crate) fn traffic_fields(t: &TrafficCounter) -> [(String, Json); 5] {
+    [
+        int_field("hit_bytes", t.hit_bytes),
+        int_field("fill_bytes", t.fill_bytes),
+        int_field("redirect_bytes", t.redirect_bytes),
+        int_field("served_requests", t.served_requests),
+        int_field("redirected_requests", t.redirected_requests),
+    ]
+}
+
 impl ToJson for WindowRecord {
     fn to_json(&self) -> Json {
-        let t = &self.traffic;
-        Json::Obj(vec![
+        let mut fields = vec![
             ("type".into(), Json::Str("window".into())),
-            ("index".into(), Json::Int(self.index as i128)),
-            ("hit_bytes".into(), Json::Int(t.hit_bytes as i128)),
-            ("fill_bytes".into(), Json::Int(t.fill_bytes as i128)),
-            ("redirect_bytes".into(), Json::Int(t.redirect_bytes as i128)),
-            (
-                "served_requests".into(),
-                Json::Int(t.served_requests as i128),
-            ),
-            (
-                "redirected_requests".into(),
-                Json::Int(t.redirected_requests as i128),
-            ),
+            int_field("index", self.index),
+        ];
+        fields.extend(traffic_fields(&self.traffic));
+        fields.extend([
             ("efficiency".into(), Json::Float(self.efficiency)),
             ("redirect_rate".into(), Json::Float(self.redirect_rate)),
-            (
-                "filled_chunks".into(),
-                Json::Int(self.filled_chunks as i128),
-            ),
-            (
-                "evicted_chunks".into(),
-                Json::Int(self.evicted_chunks as i128),
-            ),
-            (
-                "max_stream_requests".into(),
-                Json::Int(self.max_stream_requests as i128),
-            ),
-            (
-                "queue_gap_count".into(),
-                Json::Int(self.queue_gap_count as i128),
-            ),
-            (
-                "queue_gap_sum".into(),
-                Json::Int(self.queue_gap_sum as i128),
-            ),
-            (
-                "queue_gap_p99".into(),
-                Json::Int(self.queue_gap_p99 as i128),
-            ),
-            (
-                "request_chunks_p99".into(),
-                Json::Int(self.request_chunks_p99 as i128),
-            ),
-        ])
+            int_field("filled_chunks", self.filled_chunks),
+            int_field("evicted_chunks", self.evicted_chunks),
+            int_field("max_stream_requests", self.max_stream_requests),
+            int_field("queue_gap_count", self.queue_gap_count),
+            int_field("queue_gap_sum", self.queue_gap_sum),
+            int_field("queue_gap_p99", self.queue_gap_p99),
+            int_field("request_chunks_p99", self.request_chunks_p99),
+        ]);
+        Json::Obj(fields)
     }
 }
 
@@ -364,7 +364,7 @@ impl WindowRing {
     /// Panics if `input.t_ms` falls before the open window's start (trace
     /// time is non-decreasing).
     pub fn record(&mut self, input: &WindowInput, on_close: &mut dyn FnMut(&WindowStats)) {
-        let open_start = self.open.index.saturating_mul(self.width_ms);
+        let open_start = self.open.start_ms(self.width_ms);
         assert!(
             input.t_ms >= open_start,
             "window ring fed out of order: t={}ms before window start {}ms",

@@ -57,8 +57,8 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use vcdn_obs::span::{DispatchSpans, ShardSpans, WorkerTimings};
-use vcdn_obs::topk::{SpaceSaving, TopKEntry, TopKRecord};
-use vcdn_obs::window::{merge_windows, WindowRecord, WindowRing, WindowStats};
+use vcdn_obs::topk::{SpaceSaving, TopKEntry};
+use vcdn_obs::window::{merge_windows, WindowRing, WindowStats};
 
 use vcdn_core::{CacheConfig, CachePolicy};
 use vcdn_obs::{
@@ -1044,24 +1044,9 @@ pub fn engine_bundle(
     bundle.meta_entry("window_ms", Json::Int(report.window_ms as i128));
     bundle.metrics = registry.snapshot(true);
     for shard in &report.shards {
-        for (i, e) in shard.top_videos.iter().enumerate() {
-            bundle.topk.push(TopKRecord {
-                shard: shard.shard as u32,
-                rank: (i + 1) as u32,
-                // Sketch keys are packed ChunkId(video, 0): unpack back
-                // to the video id for the exported record.
-                video: e.key >> ChunkId::INDEX_BITS,
-                count: e.count,
-                err: e.err,
-            });
-        }
+        bundle.push_topk(shard.shard as u32, &shard.top_videos);
     }
-    bundle.windows = report
-        .windows
-        .iter()
-        .map(|w| WindowRecord::from_stats(w, report.costs))
-        .collect();
-    bundle.windows_dropped = report.windows_dropped;
+    bundle.set_windows(&report.windows, report.windows_dropped, report.costs);
     bundle.alerts = Watchdog::run(
         rules,
         report.costs,

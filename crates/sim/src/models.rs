@@ -11,15 +11,15 @@
 //!   to bring in new content upon cache misses", because the extra ingress
 //!   is wasted.
 //!
-//! These models post-process a [`crate::ReplayReport`] into
-//! the quantities that make those arguments concrete; the ablation benches
+//! These models post-process a replay's traffic (its aggregate counters,
+//! or the per-window traffic a [`vcdn_obs::WindowRing`] observer
+//! collected) into the quantities that make those arguments concrete; the ablation benches
 //! use them to show *why* `α_F2R > 1` is the right setting for constrained
 //! servers.
 
+use vcdn_obs::WindowStats;
 use vcdn_types::float::exactly_zero;
 use vcdn_types::TrafficCounter;
-
-use crate::replay::ReplayReport;
 
 /// Disk read/write interference model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,10 +79,11 @@ pub struct EgressSummary {
 }
 
 impl EgressModel {
-    /// Summarises saturation over a replay's windows.
-    pub fn summarize(&self, report: &ReplayReport) -> EgressSummary {
+    /// Summarises saturation over a replay's windows (each window one
+    /// metric window of the capacity's unit).
+    pub fn summarize(&self, windows: &[WindowStats]) -> EgressSummary {
         let mut s = EgressSummary::default();
-        for w in &report.windows {
+        for w in windows.iter().map(|w| &w.traffic) {
             if w.requested_bytes() == 0 {
                 continue;
             }
@@ -99,7 +100,6 @@ impl EgressModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcdn_types::CostModel;
 
     fn traffic(hit: u64, fill: u64, redirect: u64) -> TrafficCounter {
         let mut t = TrafficCounter::default();
@@ -139,24 +139,23 @@ mod tests {
 
     #[test]
     fn egress_saturation_counts_wasted_fill() {
-        use crate::replay::ReplayReport;
-        let windows = vec![
+        let windows: Vec<WindowStats> = [
             traffic(900, 200, 0),      // sat
             traffic(100, 50, 0),       // not
             TrafficCounter::default(), // idle
             traffic(1_000, 0, 10),     // sat
-        ];
-        let report = ReplayReport {
-            policy: "test",
-            overall: TrafficCounter::default(),
-            steady: TrafficCounter::default(),
-            windows,
-            costs: CostModel::balanced(),
-        };
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, traffic)| WindowStats {
+            traffic,
+            ..WindowStats::empty(i as u64)
+        })
+        .collect();
         let m = EgressModel {
             capacity_bytes_per_window: 1_000,
         };
-        let s = m.summarize(&report);
+        let s = m.summarize(&windows);
         assert_eq!(s.active_windows, 3);
         assert_eq!(s.saturated_windows, 2);
         assert_eq!(s.wasted_fill_bytes, 200);

@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use vcdn_core::CachePolicy;
-use vcdn_obs::topk::{SpaceSaving, TopKRecord};
-use vcdn_obs::window::{WindowRecord, WindowRing};
+use vcdn_obs::topk::SpaceSaving;
+use vcdn_obs::window::WindowRing;
 use vcdn_obs::{
     default_rules, DecisionEvent, EventRing, MetricId, MetricKind, MetricsRegistry, MetricsSink,
     PolicyObs, ReplaySampler, Rule, TelemetryBundle, Verdict, Watchdog,
@@ -197,23 +197,11 @@ impl TelemetryObserver {
         if let Some(mut ring) = self.windows.take() {
             let watchdog = &mut self.watchdog;
             ring.finish(&mut |w| watchdog.on_window(w));
-            bundle.windows = ring
-                .closed_windows()
-                .map(|w| WindowRecord::from_stats(w, self.costs))
-                .collect();
-            bundle.windows_dropped = ring.dropped();
+            bundle.set_windows(ring.closed_windows(), ring.dropped(), self.costs);
         }
         bundle.alerts = self.watchdog.into_alerts();
         if let Some(sketch) = &self.topk {
-            for (i, e) in sketch.entries().iter().enumerate() {
-                bundle.topk.push(TopKRecord {
-                    shard: 0,
-                    rank: (i + 1) as u32,
-                    video: e.key >> ChunkId::INDEX_BITS,
-                    count: e.count,
-                    err: e.err,
-                });
-            }
+            bundle.push_topk(0, &sketch.entries());
         }
         bundle.events_dropped = self.ring.dropped();
         bundle.events = self.ring.iter_oldest_first().cloned().collect();

@@ -8,8 +8,10 @@
 //!
 //! The paper reports steady-state efficiency as "the average over the
 //! second half of the month ... to exclude the initial cache warmup phase"
-//! (§9); [`ReplayReport::steady`] implements exactly that, alongside
-//! hourly windows for the Figure 3 time series.
+//! (§9); [`ReplayReport::steady`] implements exactly that. Time series
+//! such as Figure 3's hourly panels are not part of the report: observe
+//! the replay with a [`WindowRing`] (it implements [`ReplayObserver`]),
+//! the one place that assigns requests to trace-time windows.
 //!
 //! `Kernel::step` is the one home of this Eq. 2 accounting rule: both
 //! [`Replayer`] and the sharded engine ([`crate::engine`]) run every
@@ -17,7 +19,7 @@
 //! co-located) add the same [`TrafficCounter::of_decision`] delta.
 
 use vcdn_core::CachePolicy;
-use vcdn_obs::{DecisionDetail, WindowInput};
+use vcdn_obs::{DecisionDetail, WindowInput, WindowRing};
 use vcdn_trace::Trace;
 use vcdn_types::{ChunkSize, CostModel, Decision, DurationMs, Request, Timestamp, TrafficCounter};
 
@@ -28,8 +30,6 @@ pub struct ReplayConfig {
     pub chunk_size: ChunkSize,
     /// Cost model used for efficiency reporting (must match the policy's).
     pub costs: CostModel,
-    /// Metric window length (paper plots hourly series).
-    pub window: DurationMs,
     /// Fraction of the replay after which steady-state accounting begins
     /// (paper: 0.5 — the second half).
     pub steady_after: f64,
@@ -39,23 +39,14 @@ pub struct ReplayConfig {
 }
 
 impl ReplayConfig {
-    /// The paper's measurement setup: hourly windows, steady state over
-    /// the second half.
+    /// The paper's measurement setup: steady state over the second half.
     pub fn new(chunk_size: ChunkSize, costs: CostModel) -> Self {
         ReplayConfig {
             chunk_size,
             costs,
-            window: DurationMs::HOUR,
             steady_after: 0.5,
             check_invariants: true,
         }
-    }
-
-    /// Overrides the metric window.
-    pub fn with_window(mut self, window: DurationMs) -> Self {
-        assert!(window.as_millis() > 0, "window must be > 0");
-        self.window = window;
-        self
     }
 
     /// Overrides the steady-state start fraction.
@@ -241,6 +232,15 @@ impl ReplayObserver for () {
     fn on_decision(&mut self, _ctx: &DecisionCtx<'_>) {}
 }
 
+/// Records every replayed request into the ring's trace-time windows.
+/// Closed windows stay in the ring, so size `retain` to the windows the
+/// caller wants back (read them with [`WindowRing::snapshot_windows`]).
+impl ReplayObserver for WindowRing {
+    fn on_decision(&mut self, ctx: &DecisionCtx<'_>) {
+        self.record(&ctx.input, &mut |_| {});
+    }
+}
+
 /// Outcome of replaying one trace through one policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayReport {
@@ -251,9 +251,6 @@ pub struct ReplayReport {
     /// Traffic over the steady-state portion (the paper's reported
     /// numbers).
     pub steady: TrafficCounter,
-    /// Per-window traffic: window `i` covers trace time
-    /// `[i · window, (i + 1) · window)` ([`ReplayConfig::window`]).
-    pub windows: Vec<TrafficCounter>,
     /// The cost model used for efficiency computation.
     pub costs: CostModel,
 }
@@ -332,20 +329,12 @@ impl Replayer {
         );
         let mut overall = TrafficCounter::default();
         let mut steady = TrafficCounter::default();
-        let mut windows: Vec<TrafficCounter> = Vec::new();
-        let window_ms = cfg.window.as_millis();
 
         let timed = O::ACTIVE && observer.wants_timing();
         for (seq, request) in trace.requests.iter().enumerate() {
             let started = timed.then(std::time::Instant::now);
             let (decision, input) = kernel.step(policy, request, &mut overall, &mut steady);
             let latency_ns = started.map(|t| t.elapsed().as_nanos() as u64);
-
-            let widx = (request.t.as_millis() / window_ms) as usize;
-            if windows.len() <= widx {
-                windows.resize(widx + 1, TrafficCounter::default());
-            }
-            windows[widx] += input.traffic;
 
             if O::ACTIVE {
                 observer.on_decision(&DecisionCtx {
@@ -367,7 +356,6 @@ impl Replayer {
             policy: policy.name(),
             overall,
             steady,
-            windows,
             costs: cfg.costs,
         }
     }
@@ -403,7 +391,8 @@ mod tests {
         let costs = CostModel::balanced();
         let cfg = ReplayConfig::new(ChunkSize::DEFAULT, costs);
         let mut cache = XlruCache::new(CacheConfig::new(64, ChunkSize::DEFAULT, costs));
-        let report = Replayer::new(cfg).replay(&trace, &mut cache);
+        let mut ring = WindowRing::new(DurationMs::HOUR.as_millis(), usize::MAX);
+        let report = Replayer::new(cfg).replay_observed(&trace, &mut cache, &mut ring);
         // Every requested chunk-byte is a hit, fill or redirect.
         let expected: u64 = trace
             .requests
@@ -413,10 +402,10 @@ mod tests {
         assert_eq!(report.overall.requested_bytes(), expected);
         assert_eq!(report.overall.total_requests() as usize, trace.len());
         // Window traffic sums to the overall counter.
-        let window_sum = report
-            .windows
+        let window_sum = ring
+            .snapshot_windows()
             .iter()
-            .fold(TrafficCounter::default(), |acc, w| acc + *w);
+            .fold(TrafficCounter::default(), |acc, w| acc + w.traffic);
         assert_eq!(window_sum, report.overall);
     }
 
@@ -451,12 +440,72 @@ mod tests {
         let trace = mk_trace(reqs, DurationMs::from_hours(3).as_millis());
         let costs = CostModel::balanced();
         let mut cache = LruCache::new(CacheConfig::new(4, k100(), costs));
-        let report = Replayer::new(ReplayConfig::new(k100(), costs)).replay(&trace, &mut cache);
+        let mut ring = WindowRing::new(DurationMs::HOUR.as_millis(), usize::MAX);
+        Replayer::new(ReplayConfig::new(k100(), costs))
+            .replay_observed(&trace, &mut cache, &mut ring);
         // Window i starts at i hours: the request at 2h + 5ms is in [2].
-        assert_eq!(report.windows.len(), 3);
-        assert_eq!(report.windows[0].total_requests(), 1);
-        assert_eq!(report.windows[1].total_requests(), 0);
-        assert_eq!(report.windows[2].total_requests(), 1);
+        let requests: Vec<u64> = ring
+            .snapshot_windows()
+            .iter()
+            .map(|w| w.traffic.total_requests())
+            .collect();
+        assert_eq!(requests, vec![1, 0, 1]);
+    }
+
+    /// The per-request fold `Replayer` once ran inline into the report,
+    /// kept as the reference the [`WindowRing`] observer must reproduce.
+    struct FoldReference {
+        width_ms: u64,
+        chunk_size: ChunkSize,
+        windows: Vec<TrafficCounter>,
+    }
+
+    impl ReplayObserver for FoldReference {
+        fn on_decision(&mut self, ctx: &DecisionCtx<'_>) {
+            let widx = (ctx.request.t.as_millis() / self.width_ms) as usize;
+            if self.windows.len() <= widx {
+                self.windows.resize(widx + 1, TrafficCounter::default());
+            }
+            let chunks = ctx.request.chunk_len(self.chunk_size);
+            self.windows[widx] +=
+                TrafficCounter::of_decision(ctx.decision, chunks, self.chunk_size);
+        }
+    }
+
+    #[test]
+    fn window_ring_observer_matches_the_per_request_fold() {
+        let k = ChunkSize::DEFAULT;
+        let costs = CostModel::from_alpha(2.0).unwrap();
+        let full = TraceGenerator::new(vcdn_trace::ServerProfile::tiny_test(), 17)
+            .generate(DurationMs::from_hours(8));
+        let min = DurationMs::from_secs(60).as_millis();
+        // The full trace, and a slice whose first request falls in window
+        // 4 or later of a 20-minute grid, so windows 0..4 are leading
+        // empties the ring must still emit.
+        let late = full.window(Timestamp(95 * min), Timestamp(8 * 60 * min));
+        assert!(late.requests[0].t.as_millis() >= 4 * 20 * min);
+        for (trace, width_ms) in [(&full, 7 * min), (&late, 20 * min)] {
+            let replayer = Replayer::new(ReplayConfig::new(k, costs));
+            let mut reference = FoldReference {
+                width_ms,
+                chunk_size: k,
+                windows: Vec::new(),
+            };
+            let mut cache = XlruCache::new(CacheConfig::new(64, k, costs));
+            let expected = replayer.replay_observed(trace, &mut cache, &mut reference);
+            let mut ring = WindowRing::new(width_ms, usize::MAX);
+            let mut cache = XlruCache::new(CacheConfig::new(64, k, costs));
+            let report = replayer.replay_observed(trace, &mut cache, &mut ring);
+            assert_eq!(report, expected);
+            let windows = ring.snapshot_windows();
+            let indices: Vec<u64> = windows.iter().map(|w| w.index).collect();
+            assert_eq!(
+                indices,
+                (0..reference.windows.len() as u64).collect::<Vec<_>>()
+            );
+            let traffic: Vec<TrafficCounter> = windows.iter().map(|w| w.traffic).collect();
+            assert_eq!(traffic, reference.windows);
+        }
     }
 
     #[test]
@@ -486,15 +535,15 @@ mod tests {
         let report = Replayer::new(ReplayConfig::new(k100(), costs)).replay(&trace, &mut cache);
         assert_eq!(report.overall, TrafficCounter::default());
         assert_eq!(report.efficiency(), 0.0);
-        assert!(report.windows.is_empty());
+        let mut ring = WindowRing::new(DurationMs::HOUR.as_millis(), 4);
+        Replayer::new(ReplayConfig::new(k100(), costs))
+            .replay_observed(&trace, &mut cache, &mut ring);
+        assert!(ring.snapshot_windows().is_empty());
     }
 
     #[test]
     fn config_validation() {
-        let c = ReplayConfig::new(k100(), CostModel::balanced())
-            .with_window(DurationMs::from_secs(60))
-            .with_steady_after(0.25);
-        assert_eq!(c.window, DurationMs::from_secs(60));
+        let c = ReplayConfig::new(k100(), CostModel::balanced()).with_steady_after(0.25);
         assert!((c.steady_after - 0.25).abs() < 1e-12);
     }
 

@@ -17,6 +17,7 @@
 use vcdn_core::{
     CacheConfig, CachePolicy, CafeCache, CafeConfig, PsychicCache, PsychicConfig, XlruCache,
 };
+use vcdn_obs::{WindowRing, WindowStats};
 use vcdn_sim::{ReplayConfig, ReplayReport, Replayer};
 use vcdn_trace::{ServerProfile, Trace, TraceGenerator};
 use vcdn_types::{ChunkSize, CostModel, DurationMs};
@@ -32,6 +33,16 @@ const ALPHA: f64 = 2.0;
 fn replay(policy: &mut dyn CachePolicy, trace: &Trace) -> ReplayReport {
     let costs = CostModel::from_alpha(ALPHA).expect("valid alpha");
     Replayer::new(ReplayConfig::new(ChunkSize::DEFAULT, costs)).replay(trace, policy)
+}
+
+/// Like [`replay`], observing with an hourly window ring and returning
+/// its windows alongside the report.
+fn replay_hourly(policy: &mut dyn CachePolicy, trace: &Trace) -> (ReplayReport, Vec<WindowStats>) {
+    let costs = CostModel::from_alpha(ALPHA).expect("valid alpha");
+    let mut hours = WindowRing::new(DurationMs::HOUR.as_millis(), usize::MAX);
+    let report = Replayer::new(ReplayConfig::new(ChunkSize::DEFAULT, costs))
+        .replay_observed(trace, policy, &mut hours);
+    (report, hours.snapshot_windows())
 }
 
 fn policies(trace: &Trace) -> Vec<Box<dyn CachePolicy>> {
@@ -115,13 +126,14 @@ fn hot_tracking_cafe_replay_matches_pins() {
 fn repeated_replays_are_byte_identical() {
     // Two full replays in one process: under std-hash each HashMap gets a
     // fresh random seed, so equality here means iteration order never
-    // reaches the output. Full ReplayReport equality covers windows too.
+    // reaches the output. Equality covers the report and its hourly
+    // windows (traffic, disk churn and request-size sketch).
     let trace = trace();
-    let runs: Vec<Vec<ReplayReport>> = (0..2)
+    let runs: Vec<Vec<(ReplayReport, Vec<WindowStats>)>> = (0..2)
         .map(|_| {
             policies(&trace)
                 .into_iter()
-                .map(|mut p| replay(p.as_mut(), &trace))
+                .map(|mut p| replay_hourly(p.as_mut(), &trace))
                 .collect()
         })
         .collect();

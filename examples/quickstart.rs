@@ -28,7 +28,8 @@ fn main() {
     let disk_chunks = 512; // 1 GiB of 2 MB chunks
     let mut cache = CafeCache::new(CafeConfig::new(disk_chunks, k, costs));
 
-    // 3. Replay and report: hourly windows, steady state = second half.
+    // 3. Replay and report: steady state = second half. (Pass a
+    //    `vcdn::obs::WindowRing` to `replay_observed` for hourly windows.)
     let report = Replayer::new(ReplayConfig::new(k, costs)).replay(&trace, &mut cache);
     println!(
         "cache: {} ({} chunk disk, {costs})",

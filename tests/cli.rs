@@ -130,6 +130,38 @@ fn replay_requires_disk_size() {
 }
 
 #[test]
+fn bound_rejects_zero_disk_without_panicking() {
+    let path = temp_trace("zerodisk.jsonl");
+    let path_s = path.to_str().expect("utf-8 path");
+    vcdn(&["gen", "--days", "1", "--out", path_s]);
+    for cmd in ["bound", "replay"] {
+        let out = vcdn(&[cmd, "--trace", path_s, "--disk-chunks", "0"]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {err}");
+        assert!(
+            err.contains("disk must hold at least one chunk"),
+            "{cmd}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{cmd}: {err}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn oversized_chunk_size_is_rejected_not_wrapped() {
+    let path = temp_trace("hugechunk.jsonl");
+    let path_s = path.to_str().expect("utf-8 path");
+    vcdn(&["gen", "--days", "1", "--out", path_s]);
+    let out = vcdn(&["stats", "--trace", path_s, "--chunk-mb", "99999999999999"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("--chunk-mb"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(stdout(&out).is_empty(), "no stats for a wrapped chunk size");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn gen_rejects_bad_inputs() {
     let out = vcdn(&["gen", "--profile", "mars", "--out", "/tmp/x.jsonl"]);
     assert!(!out.status.success());

@@ -5,6 +5,7 @@ use vcdn::cache::{
     CacheConfig, CachePolicy, CafeCache, CafeConfig, LruCache, PsychicCache, PsychicConfig,
     XlruCache,
 };
+use vcdn::obs::{WindowRing, WindowStats};
 use vcdn::sim::{ReplayConfig, ReplayReport, Replayer};
 use vcdn::trace::{ServerProfile, Trace, TraceGenerator};
 use vcdn::types::{ChunkSize, CostModel, DurationMs, TrafficCounter};
@@ -16,10 +17,8 @@ fn trace(days: u64, seed: u64) -> Trace {
     TraceGenerator::new(ServerProfile::tiny_test(), seed).generate(DurationMs::from_days(days))
 }
 
-fn run_all(trace: &Trace, alpha: f64) -> Vec<ReplayReport> {
-    let costs = CostModel::from_alpha(alpha).expect("valid alpha");
-    let replayer = Replayer::new(ReplayConfig::new(K, costs));
-    let mut caches: Vec<Box<dyn CachePolicy>> = vec![
+fn caches(trace: &Trace, costs: CostModel) -> Vec<Box<dyn CachePolicy>> {
+    vec![
         Box::new(LruCache::new(CacheConfig::new(DISK, K, costs))),
         Box::new(XlruCache::new(CacheConfig::new(DISK, K, costs))),
         Box::new(CafeCache::new(CafeConfig::new(DISK, K, costs))),
@@ -27,10 +26,29 @@ fn run_all(trace: &Trace, alpha: f64) -> Vec<ReplayReport> {
             PsychicConfig::new(DISK, K, costs),
             &trace.requests,
         )),
-    ];
-    caches
+    ]
+}
+
+fn run_all(trace: &Trace, alpha: f64) -> Vec<ReplayReport> {
+    let costs = CostModel::from_alpha(alpha).expect("valid alpha");
+    let replayer = Replayer::new(ReplayConfig::new(K, costs));
+    caches(trace, costs)
         .iter_mut()
         .map(|c| replayer.replay(trace, c.as_mut()))
+        .collect()
+}
+
+/// Like [`run_all`], observing each replay with an hourly window ring.
+fn run_all_hourly(trace: &Trace, alpha: f64) -> Vec<(ReplayReport, Vec<WindowStats>)> {
+    let costs = CostModel::from_alpha(alpha).expect("valid alpha");
+    let replayer = Replayer::new(ReplayConfig::new(K, costs));
+    caches(trace, costs)
+        .iter_mut()
+        .map(|c| {
+            let mut hours = WindowRing::new(DurationMs::HOUR.as_millis(), usize::MAX);
+            let report = replayer.replay_observed(trace, c.as_mut(), &mut hours);
+            (report, hours.snapshot_windows())
+        })
         .collect()
 }
 
@@ -134,11 +152,10 @@ fn capacity_respected_throughout_by_all() {
 #[test]
 fn windows_partition_overall_traffic() {
     let t = trace(2, 7);
-    for report in run_all(&t, 2.0) {
-        let sum = report
-            .windows
+    for (report, windows) in run_all_hourly(&t, 2.0) {
+        let sum = windows
             .iter()
-            .fold(TrafficCounter::default(), |acc, w| acc + *w);
+            .fold(TrafficCounter::default(), |acc, w| acc + w.traffic);
         assert_eq!(sum, report.overall, "{} window leak", report.policy);
     }
 }
