@@ -139,9 +139,11 @@ pub struct CafeCache {
     last_detail: DecisionDetail,
     /// Reusable per-request buffers: the decide path allocates nothing.
     /// Missing chunks travel with their popularity handle so the Eq. 7
-    /// loop and the fill loop read the slabs directly.
+    /// loop and the fill loop read the slabs directly. The eviction walk
+    /// borrows the disk, so victims are collected before any is removed.
     scratch_present: Vec<ChunkId>,
     scratch_missing: Vec<(ChunkId, u32, f64)>,
+    scratch_evicted: Vec<ChunkId>,
 }
 
 impl CafeCache {
@@ -160,6 +162,7 @@ impl CafeCache {
             last_detail: DecisionDetail::default(),
             scratch_present: Vec::new(),
             scratch_missing: Vec::new(),
+            scratch_evicted: Vec::new(),
         }
     }
 
@@ -273,12 +276,11 @@ impl CafeCache {
         }
     }
 
-    /// Turns on incremental maintenance of the hot uncached-chunk mirror,
-    /// making [`Self::prefetch_candidates`] an incremental bucketed read
-    /// (amortized near-linear in the candidate count) instead of a
-    /// scan-and-sort of the whole popularity table. Used by
-    /// [`crate::prefetch::ProactiveCafeCache`], which polls for
-    /// candidates every tick.
+    /// Turns on incremental maintenance of the hot uncached-chunk mirror
+    /// that [`Self::prefetch_candidates`] reads, rebuilding it from the
+    /// popularity table. Plain replay leaves it off and pays nothing for
+    /// it; [`crate::prefetch::ProactiveCafeCache`], which polls for
+    /// candidates every tick, turns it on at construction.
     pub fn enable_hot_tracking(&mut self) {
         let gamma = self.config.gamma;
         let mut hot = RankIndex::new();
@@ -383,23 +385,23 @@ impl CafeCache {
 
     /// The hottest tracked-but-uncached chunks: prefetch candidates for
     /// the §10 "proactive caching" extension, ordered by ascending
-    /// inter-arrival time (hottest first). With
-    /// [`Self::enable_hot_tracking`] on, reads the incrementally
-    /// maintained bucketed mirror: amortized O(n) in the candidate count,
-    /// plus a one-off O(S log S) sort of each not-yet-sorted bucket the
-    /// read enters (`&mut self` pays for exactly that lazy sorting);
-    /// otherwise scans and sorts the whole popularity table — in that
-    /// mode call it once per control window, not per request. (The two
-    /// paths can order differently only on exact rank ties or when IATs
-    /// clamp at the 1 ms floor.)
+    /// inter-arrival time (hottest first). Reads the incrementally
+    /// maintained bucketed hot mirror, turning on
+    /// [`Self::enable_hot_tracking`] first if it is off: amortized O(n) in
+    /// the candidate count, plus a one-off O(S log S) sort of each
+    /// not-yet-sorted bucket the read enters (`&mut self` pays for exactly
+    /// that lazy sorting).
     pub fn prefetch_candidates(&mut self, n: usize, now: Timestamp) -> Vec<(ChunkId, f64)> {
+        if self.hot.is_none() {
+            self.enable_hot_tracking();
+        }
         let gamma = self.config.gamma;
+        let pop = &self.pop;
+        let mut out = Vec::new();
         if let Some(hot) = &mut self.hot {
             // Mirror entries always have a known IAT (they are inserted on
             // the second arrival); a missing one would be a tracker bug, and
             // skipping it degrades gracefully instead of tearing down a run.
-            let pop = &self.pop;
-            let mut out = Vec::new();
             hot.for_smallest_excluding(
                 n,
                 |_| false,
@@ -409,19 +411,8 @@ impl CafeCache {
                     }
                 },
             );
-            return out;
         }
-        let mut hot: Vec<(ChunkId, f64)> = self
-            .pop
-            .iter()
-            .filter(|(id, _)| !self.disk.contains(id))
-            .filter_map(|(id, h)| self.pop.iat_at(h, now, gamma).map(|iat| (id, iat)))
-            .collect();
-        // total_cmp agrees with partial_cmp on these IATs (finite, clamped
-        // to the 1 ms floor, never -0.0) and cannot panic.
-        hot.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        hot.truncate(n);
-        hot
+        out
     }
 
     /// Proactively fills `chunk` (already known to the popularity
@@ -583,7 +574,8 @@ impl CachePolicy for CafeCache {
             // tail.
             let evict_needed =
                 ((self.disk.len() + missing.len()) as u64).saturating_sub(capacity) as usize;
-            let mut evicted = Vec::new();
+            let mut evicted = std::mem::take(&mut self.scratch_evicted);
+            evicted.clear();
             if evict_needed > 0 {
                 self.disk.for_smallest_excluding(
                     evict_needed,
@@ -594,6 +586,8 @@ impl CachePolicy for CafeCache {
                     self.remove_chunk(id);
                 }
             }
+            let evicted_chunks = evicted.len() as u64;
+            self.scratch_evicted = evicted;
             let free = capacity - self.disk.len() as u64;
             let keep_from = missing.len().saturating_sub(free as usize);
             let fallback = video_estimate.unwrap_or(0.0);
@@ -604,7 +598,7 @@ impl CachePolicy for CafeCache {
             Decision::Serve(ServeOutcome {
                 hit_chunks: present.len() as u64,
                 filled_chunks: missing.len() as u64,
-                evicted,
+                evicted_chunks,
             })
         };
         self.scratch_present = present;
@@ -774,7 +768,7 @@ mod tests {
         let d = c.handle_request(&req(0, 0, 99, 1_000_000));
         let o = d.serve_outcome().unwrap();
         assert_eq!((o.hit_chunks, o.filled_chunks), (1, 0));
-        assert!(o.evicted.is_empty());
+        assert_eq!(o.evicted_chunks, 0);
     }
 
     #[test]
@@ -793,7 +787,8 @@ mod tests {
         let d = c.handle_request(&req(9, 0, 99, 5_040));
         let o = d.serve_outcome().unwrap();
         assert!(d.is_serve());
-        assert_eq!(o.evicted, vec![ChunkId::new(VideoId(1), 0)]);
+        assert_eq!(o.evicted_chunks, 1);
+        assert!(!c.contains_chunk(ChunkId::new(VideoId(1), 0)));
         assert!(c.contains_chunk(ChunkId::new(VideoId(0), 0)));
     }
 
@@ -926,14 +921,30 @@ mod tests {
         assert!((c.window_ms(Timestamp(1_000_000)) - 9_000.0).abs() < 1e-9);
     }
 
+    /// The test oracle for the hot mirror: scans the whole popularity
+    /// table for tracked-but-uncached chunks and sorts them by IAT.
+    fn scan_candidates(c: &CafeCache, n: usize, now: Timestamp) -> Vec<(ChunkId, f64)> {
+        let gamma = c.config.gamma;
+        let mut hot: Vec<(ChunkId, f64)> = c
+            .pop
+            .iter()
+            .filter(|(id, _)| !c.disk.contains(id))
+            .filter_map(|(id, h)| c.pop.iat_at(h, now, gamma).map(|iat| (id, iat)))
+            .collect();
+        hot.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        hot.truncate(n);
+        hot
+    }
+
     #[test]
     fn hot_mirror_agrees_with_scan_path() {
         // Same request stream through two identical caches, one with the
-        // incremental hot mirror enabled, one on the scan-and-sort
-        // fallback. Inter-arrival gaps are seconds apart and distinct per
-        // video, so no rank ties and no 1 ms IAT-floor clamps — the two
-        // prefetch_candidates paths must agree exactly.
-        let mut scan = cache(4, 2.0);
+        // incremental hot mirror maintained from the start, one that
+        // builds it on its first candidate read; both must match the
+        // scan oracle. Inter-arrival gaps are seconds apart and distinct
+        // per video, so no rank ties and no 1 ms IAT-floor clamps — the
+        // orders must agree exactly.
+        let mut lazy = cache(4, 2.0);
         let mut mirror = cache(4, 2.0);
         mirror.enable_hot_tracking();
         let mut t = 0u64;
@@ -942,12 +953,13 @@ mod tests {
                 // Distinct, video-dependent gaps: hotter for low IDs.
                 t += 1_000 + 137 * v + 11 * round;
                 let r = req(v, 0, 199, t);
-                scan.handle_request(&r);
+                lazy.handle_request(&r);
                 mirror.handle_request(&r);
             }
             let now = Timestamp(t + 500);
-            let a = scan.prefetch_candidates(6, now);
+            let a = scan_candidates(&mirror, 6, now);
             let b = mirror.prefetch_candidates(6, now);
+            assert_eq!(lazy.prefetch_candidates(6, now), b, "round {round}");
             assert_eq!(a.len(), b.len());
             for ((ida, iata), (idb, iatb)) in a.iter().zip(&b) {
                 assert_eq!(ida, idb, "round {round}: candidate order diverged");

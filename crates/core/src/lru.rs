@@ -82,7 +82,7 @@ impl CachePolicy for LruCache {
         // A request larger than the whole disk cannot be fully cached; keep
         // only the last `disk_chunks` requested chunks (the earlier ones
         // are still served/filled, they just do not stay).
-        let mut evicted = Vec::new();
+        let mut evicted_chunks = 0;
         let fill = missing.len() as u64;
         let keep_from = missing
             .len()
@@ -91,10 +91,9 @@ impl CachePolicy for LruCache {
             if i < keep_from {
                 continue;
             }
-            if self.disk.len() as u64 >= self.config.disk_chunks {
-                if let Some((old, _)) = self.disk.pop_oldest() {
-                    evicted.push(old);
-                }
+            if self.disk.len() as u64 >= self.config.disk_chunks && self.disk.pop_oldest().is_some()
+            {
+                evicted_chunks += 1;
             }
             self.disk.touch(*id, request.t);
         }
@@ -102,7 +101,7 @@ impl CachePolicy for LruCache {
         let decision = Decision::Serve(ServeOutcome {
             hit_chunks: hit,
             filled_chunks: fill,
-            evicted,
+            evicted_chunks,
         });
         self.obs.record_decision(&decision, self.disk.len() as u64);
         decision
@@ -181,7 +180,8 @@ mod tests {
         c.handle_request(&req(1, 0, 99, 3)); // touch v1#0
         let d = c.handle_request(&req(3, 0, 99, 4)); // must evict v2#0
         let o = d.serve_outcome().unwrap();
-        assert_eq!(o.evicted, vec![ChunkId::new(VideoId(2), 0)]);
+        assert_eq!(o.evicted_chunks, 1);
+        assert!(!c.contains_chunk(ChunkId::new(VideoId(2), 0)));
         assert!(c.contains_chunk(ChunkId::new(VideoId(1), 0)));
         assert!(c.contains_chunk(ChunkId::new(VideoId(3), 0)));
     }

@@ -97,8 +97,8 @@ impl ProactiveCafeCache {
     /// [`PrefetchConfig::validate`].
     pub fn try_new(mut inner: CafeCache, config: PrefetchConfig) -> Result<Self, String> {
         config.validate()?;
-        // Candidates are polled every tick: keep them incrementally
-        // ordered instead of scan-sorting the popularity table each time.
+        // Maintain the hot mirror from the first request rather than
+        // building it on the first candidate read.
         inner.enable_hot_tracking();
         Ok(ProactiveCafeCache {
             inner,

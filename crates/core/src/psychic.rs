@@ -127,8 +127,11 @@ pub struct PsychicCache {
     obs: PolicyObs,
     last_detail: DecisionDetail,
     /// Reusable per-request buffers: the decide path allocates nothing.
+    /// The eviction walk borrows the disk, so victims are collected
+    /// before any is removed.
     scratch_present: Vec<ChunkId>,
     scratch_missing: Vec<ChunkId>,
+    scratch_evicted: Vec<ChunkId>,
 }
 
 impl PsychicCache {
@@ -168,6 +171,7 @@ impl PsychicCache {
             last_detail: DecisionDetail::default(),
             scratch_present: Vec::new(),
             scratch_missing: Vec::new(),
+            scratch_evicted: Vec::new(),
         }
     }
 
@@ -304,7 +308,8 @@ impl CachePolicy for PsychicCache {
             // keep only their tail chunks.
             let evict_needed =
                 ((self.disk.len() + missing.len()) as u64).saturating_sub(capacity) as usize;
-            let mut evicted = Vec::new();
+            let mut evicted = std::mem::take(&mut self.scratch_evicted);
+            evicted.clear();
             if evict_needed > 0 {
                 evicted.extend(
                     self.disk
@@ -315,6 +320,8 @@ impl CachePolicy for PsychicCache {
                     self.evict_chunk(v, now);
                 }
             }
+            let evicted_chunks = evicted.len() as u64;
+            self.scratch_evicted = evicted;
             let free = (capacity - self.disk.len() as u64) as usize;
             let keep_from = missing.len().saturating_sub(free);
             for id in &missing[keep_from..] {
@@ -325,7 +332,7 @@ impl CachePolicy for PsychicCache {
             Decision::Serve(ServeOutcome {
                 hit_chunks: present.len() as u64,
                 filled_chunks: missing.len() as u64,
-                evicted,
+                evicted_chunks,
             })
         };
         self.scratch_present = present;
@@ -457,7 +464,8 @@ mod tests {
         let (ds, c) = run(2, 1.0, reqs);
         // Request #2 (video 9): hot future, must be served, evicting v1.
         let o = ds[2].serve_outcome().expect("hot chunk should be filled");
-        assert_eq!(o.evicted, vec![ChunkId::new(VideoId(1), 0)]);
+        assert_eq!(o.evicted_chunks, 1);
+        assert!(!c.contains_chunk(ChunkId::new(VideoId(1), 0)));
         assert!(c.contains_chunk(ChunkId::new(VideoId(9), 0)));
     }
 
@@ -572,6 +580,6 @@ mod tests {
         let (ds, _) = run(2, 4.0, reqs);
         let o = ds[2].serve_outcome().unwrap();
         assert_eq!((o.hit_chunks, o.filled_chunks), (1, 0));
-        assert!(o.evicted.is_empty());
+        assert_eq!(o.evicted_chunks, 0);
     }
 }

@@ -224,7 +224,7 @@ impl CachePolicy for XlruCache {
             // Lines 5–7: evict the oldest |missing| chunks, fill the
             // misses. Requests larger than the whole disk keep only their
             // tail chunks.
-            let mut evicted = Vec::new();
+            let mut evicted_chunks = 0;
             let keep_from = missing
                 .len()
                 .saturating_sub(self.config.disk_chunks as usize);
@@ -232,17 +232,17 @@ impl CachePolicy for XlruCache {
                 if i < keep_from {
                     continue;
                 }
-                if self.disk.len() as u64 >= self.config.disk_chunks {
-                    if let Some((old, _)) = self.disk.pop_oldest() {
-                        evicted.push(old);
-                    }
+                if self.disk.len() as u64 >= self.config.disk_chunks
+                    && self.disk.pop_oldest().is_some()
+                {
+                    evicted_chunks += 1;
                 }
                 self.disk.touch(*id, now);
             }
             Decision::Serve(ServeOutcome {
                 hit_chunks: present.len() as u64,
                 filled_chunks: missing.len() as u64,
-                evicted,
+                evicted_chunks,
             })
         };
         self.scratch_present = present;
@@ -380,7 +380,8 @@ mod tests {
         assert!(c.handle_request(&req(9, 0, 99, 50)).is_redirect());
         let d = c.handle_request(&req(9, 0, 99, 60));
         let o = d.serve_outcome().unwrap();
-        assert_eq!(o.evicted, vec![ChunkId::new(VideoId(0), 0)]);
+        assert_eq!(o.evicted_chunks, 1);
+        assert!(!c.contains_chunk(ChunkId::new(VideoId(0), 0)));
         assert!(c.contains_chunk(ChunkId::new(VideoId(9), 0)));
     }
 
@@ -395,7 +396,8 @@ mod tests {
         let d = c.handle_request(&req(5, 0, 199, 10));
         let o = d.serve_outcome().unwrap();
         assert_eq!((o.hit_chunks, o.filled_chunks), (1, 1));
-        assert_eq!(o.evicted, vec![ChunkId::new(VideoId(6), 0)]);
+        assert_eq!(o.evicted_chunks, 1);
+        assert!(!c.contains_chunk(ChunkId::new(VideoId(6), 0)));
         assert!(c.contains_chunk(ChunkId::new(VideoId(5), 0)));
         assert!(c.contains_chunk(ChunkId::new(VideoId(5), 1)));
     }

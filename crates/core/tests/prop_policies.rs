@@ -5,12 +5,14 @@
 //! framework these loop over [`DetRng`]-generated cases; failures print the
 //! case number.
 
+use std::collections::HashSet;
+
 use vcdn_core::{
     CacheConfig, CachePolicy, CafeCache, CafeConfig, LruCache, PsychicCache, PsychicConfig,
     XlruCache,
 };
 use vcdn_trace::rng::DetRng;
-use vcdn_types::{ByteRange, ChunkSize, CostModel, Decision, Request, Timestamp, VideoId};
+use vcdn_types::{ByteRange, ChunkId, ChunkSize, CostModel, Decision, Request, Timestamp, VideoId};
 
 const CASES: u64 = 64;
 
@@ -45,29 +47,50 @@ fn disk(rng: &mut DetRng) -> u64 {
     1 + rng.below(11)
 }
 
+/// The chunks `r` asks for.
+fn requested(r: &Request) -> Vec<ChunkId> {
+    r.chunk_range(k())
+        .iter()
+        .map(|c| ChunkId::new(r.video, c))
+        .collect()
+}
+
 /// Exercises one policy against the CachePolicy contract.
 fn check_contract(policy: &mut dyn CachePolicy, reqs: &[Request], case: u64) {
-    let mut present: std::collections::HashSet<vcdn_types::ChunkId> =
-        std::collections::HashSet::new();
+    // Every chunk enters the cache as a fill of a served request, so this
+    // shadow set tracks the cache contents exactly.
+    let mut present: HashSet<ChunkId> = HashSet::new();
     for r in reqs {
         let chunks = r.chunk_len(k());
+        let requested = requested(r);
         match policy.handle_request(r) {
             Decision::Serve(o) => {
                 // Serve covers the whole request.
                 assert_eq!(o.served_chunks(), chunks, "case {case}");
-                // Evicted chunks were previously present (fills are
-                // genuinely stored and victims come from cached content)
-                // and are no longer contained.
-                for e in &o.evicted {
-                    assert!(present.remove(e), "case {case}: evicted never-present {e}");
-                    assert!(!policy.contains_chunk(*e), "case {case}");
+                // The tracked chunks that left the cache are this serve's
+                // victims: exactly as many as it reports, and none of
+                // them requested — unless the request outgrows the whole
+                // disk, where LRU and xLRU keep only its tail.
+                let left: Vec<ChunkId> = present
+                    .iter()
+                    .copied()
+                    .filter(|id| !policy.contains_chunk(*id))
+                    .collect();
+                assert_eq!(
+                    left.len() as u64,
+                    o.evicted_chunks,
+                    "case {case}: evicted-chunk count disagrees with the cache"
+                );
+                for id in &left {
+                    assert!(
+                        !requested.contains(id) || chunks > policy.disk_capacity_chunks(),
+                        "case {case}: evicted requested {id}"
+                    );
+                    present.remove(id);
                 }
-                for c in r.chunk_range(k()).iter() {
-                    let id = vcdn_types::ChunkId::new(r.video, c);
+                for id in requested {
                     if policy.contains_chunk(id) {
                         present.insert(id);
-                    } else {
-                        present.remove(&id);
                     }
                 }
             }
@@ -140,9 +163,20 @@ fn policies_are_deterministic() {
         let reqs = requests(&mut rng);
         let d = disk(&mut rng);
         let costs = CostModel::from_alpha(alpha(&mut rng)).expect("valid");
-        let run = || -> Vec<Decision> {
+        // Decisions carry counts only, so each step also records which
+        // requested chunks the cache holds afterwards.
+        let run = || -> Vec<(Decision, Vec<bool>)> {
             let mut cache = CafeCache::new(CafeConfig::new(d, k(), costs));
-            reqs.iter().map(|r| cache.handle_request(r)).collect()
+            reqs.iter()
+                .map(|r| {
+                    let d = cache.handle_request(r);
+                    let cached = requested(r)
+                        .into_iter()
+                        .map(|id| cache.contains_chunk(id))
+                        .collect();
+                    (d, cached)
+                })
+                .collect()
         };
         assert_eq!(run(), run(), "case {case}");
     }
@@ -157,8 +191,7 @@ fn full_hits_are_always_served() {
         // request (same range) must be served once its chunks are in.
         let costs = CostModel::from_alpha(alpha(&mut rng)).expect("valid");
         let mut cache = CafeCache::new(CafeConfig::new(10_000, k(), costs));
-        let mut served_once: std::collections::HashSet<(VideoId, u64, u64)> =
-            std::collections::HashSet::new();
+        let mut served_once: HashSet<(VideoId, u64, u64)> = HashSet::new();
         for r in &reqs {
             let key = (r.video, r.bytes.start, r.bytes.end);
             let d = cache.handle_request(r);

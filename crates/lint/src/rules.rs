@@ -72,9 +72,9 @@ WHY   The decide/evict/admission paths of all four policies are
 FIX   Reuse scratch buffers owned by the policy struct; use
       vcdn_types::{FastMap, FastSet} declared outside the hot function;
       return iterators instead of collecting.
-ALLOW The `evicted` list handed to ServeOutcome is owned by the decision
-      by API contract; its empty-Vec construction is the sanctioned
-      allowlisted exception (Vec::new allocates nothing until pushed).",
+ALLOW None in the workspace: decisions are Copy and report evictions
+      as a count (ServeOutcome::evicted_chunks), and policies that must
+      collect victims before removing them reuse a scratch buffer.",
     },
     Rule {
         name: "float-eq",

@@ -108,10 +108,9 @@ impl PolicyObs {
                 self.sink.counter_add(self.hit_chunks, o.hit_chunks);
                 self.sink.counter_add(self.fill_chunks, o.filled_chunks);
                 self.sink.observe(self.fill_per_request, o.filled_chunks);
-                if !o.evicted.is_empty() {
-                    let batch = o.evicted.len() as u64;
-                    self.sink.counter_add(self.evicted_chunks, batch);
-                    self.sink.observe(self.eviction_batch, batch);
+                if o.evicted_chunks > 0 {
+                    self.sink.counter_add(self.evicted_chunks, o.evicted_chunks);
+                    self.sink.observe(self.eviction_batch, o.evicted_chunks);
                 }
             }
             Decision::Redirect => self.sink.counter_add(self.redirect_requests, 1),
@@ -140,13 +139,13 @@ impl Default for PolicyObs {
 mod tests {
     use super::*;
     use crate::registry::MetricsRegistry;
-    use vcdn_types::{ChunkId, ServeOutcome, VideoId};
+    use vcdn_types::ServeOutcome;
 
-    fn serve(hit_chunks: u64, filled_chunks: u64, evicted: u32) -> Decision {
+    fn serve(hit_chunks: u64, filled_chunks: u64, evicted_chunks: u64) -> Decision {
         Decision::Serve(ServeOutcome {
             hit_chunks,
             filled_chunks,
-            evicted: (0..evicted).map(|c| ChunkId::new(VideoId(1), c)).collect(),
+            evicted_chunks,
         })
     }
 

@@ -153,7 +153,7 @@ impl Kernel {
                         policy.name()
                     );
                 }
-                (o.filled_chunks, o.evicted.len() as u64)
+                (o.filled_chunks, o.evicted_chunks)
             }
             Decision::Redirect => (0, 0),
         };

@@ -12,10 +12,15 @@
 //! traffic — the hierarchy, the fleet, the co-located group and the
 //! sharded engine — as exact `(hit, fill, redirect, served, redirected)`
 //! tuples, so a change to the shared accounting shows up in each of them.
+//! The always-fill baselines (LFU, LRU-2, GDSP) and the off-peak
+//! prefetcher are pinned the same way plus their evicted-chunk count, so
+//! a change to any eviction loop shows up as well.
 
 use vcdn_core::{
-    CacheConfig, CachePolicy, CafeCache, CafeConfig, PsychicCache, PsychicConfig, XlruCache,
+    CacheConfig, CachePolicy, CafeCache, CafeConfig, GdspCache, LfuCache, LruKCache,
+    PrefetchConfig, ProactiveCafeCache, PsychicCache, PsychicConfig, XlruCache,
 };
+use vcdn_obs::WindowRing;
 use vcdn_sim::engine::{EngineConfig, ShardedEngine};
 use vcdn_sim::shard::{replay_colocated, Assignment};
 use vcdn_sim::{replay_fleet, replay_hierarchy, ReplayConfig, ReplayReport, Replayer};
@@ -308,4 +313,64 @@ fn three_shard_engine_golden_accounting() {
         assert_eq!(overall, (1_300, 1_200, 600, 10, 4), "{workers} workers");
         assert_eq!(steady, (200, 300, 200, 2, 1), "{workers} workers");
     }
+}
+
+/// `(hit, fill, redirect, served, redirected, evicted chunks)`.
+type EvictionPin = (u64, u64, u64, u64, u64, u64);
+
+/// Replays the golden trace through `policy`; the evicted chunks are
+/// summed over the decisions by an hourly [`WindowRing`] observer.
+fn eviction_pin(policy: &mut dyn CachePolicy) -> EvictionPin {
+    let mut hours = WindowRing::new(DurationMs::HOUR.as_millis(), usize::MAX);
+    let report = Replayer::new(ReplayConfig::new(k(), alpha2())).replay_observed(
+        &golden_trace(),
+        policy,
+        &mut hours,
+    );
+    let evicted = hours
+        .snapshot_windows()
+        .iter()
+        .map(|w| w.evicted_chunks)
+        .sum();
+    let (hit, fill, redirect, served, redirected) = pin(&report.overall);
+    (hit, fill, redirect, served, redirected, evicted)
+}
+
+#[test]
+fn always_fill_baselines_golden_accounting() {
+    let cfg = || CacheConfig::new(DISK, k(), alpha2());
+    let cases: [(Box<dyn CachePolicy>, EvictionPin); 3] = [
+        (Box::new(LfuCache::new(cfg())), (1_300, 1_800, 0, 14, 0, 12)),
+        (
+            Box::new(LruKCache::lru2(cfg())),
+            (1_400, 1_700, 0, 14, 0, 11),
+        ),
+        (
+            Box::new(GdspCache::new(cfg())),
+            (1_000, 2_100, 0, 14, 0, 15),
+        ),
+    ];
+    for (mut policy, expected) in cases {
+        let got = eviction_pin(policy.as_mut());
+        assert_eq!(got, expected, "{}", policy.name());
+    }
+}
+
+/// Cafe with the §10 prefetcher active for the whole golden hour: at most
+/// two candidates every two minutes.
+#[test]
+fn cafe_prefetch_golden_accounting() {
+    let config = PrefetchConfig {
+        offpeak_start_hour: 0.0,
+        offpeak_end_hour: 1.0,
+        budget_chunks_per_tick: 2,
+        tick: DurationMs::from_secs(120),
+    };
+    let mut cache =
+        ProactiveCafeCache::try_new(CafeCache::new(CafeConfig::new(DISK, k(), alpha2())), config)
+            .expect("valid prefetch config");
+    // The count covers decision evictions only: a chunk a prefetch
+    // displaces belongs to no decision.
+    assert_eq!(eviction_pin(&mut cache), (1_600, 800, 700, 11, 3, 2));
+    assert_eq!(cache.prefetched_chunks(), 3);
 }

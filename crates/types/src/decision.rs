@@ -2,26 +2,21 @@
 
 use std::fmt;
 
-use crate::{
-    ids::ChunkId,
-    impl_json_struct,
-    json::{FromJson, Json, JsonError, ToJson},
-};
-
 /// Chunk-level accounting of a served request.
 ///
 /// `hit_chunks + filled_chunks` always equals the number of requested
 /// chunks: a served request delivers every requested chunk, cache-filling
 /// the missing ones.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeOutcome {
     /// Requested chunks already present in the cache.
     pub hit_chunks: u64,
     /// Requested chunks fetched from upstream (ingress).
     pub filled_chunks: u64,
-    /// Chunks evicted to make room (empty while the disk still has free
-    /// space, i.e. during warm-up).
-    pub evicted: Vec<ChunkId>,
+    /// Cached chunks this serve removed to make room for its fills: 0
+    /// while the disk still has free space (warm-up). Which chunks they
+    /// were stays inside the policy, which picks its own victims.
+    pub evicted_chunks: u64,
 }
 
 impl ServeOutcome {
@@ -31,43 +26,14 @@ impl ServeOutcome {
     }
 }
 
-impl_json_struct!(ServeOutcome {
-    hit_chunks,
-    filled_chunks,
-    evicted,
-});
-
 /// The decision a cache makes for one request (paper, Problem 1):
 /// serve it (cache-filling any missing chunks) or redirect it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Decision {
     /// Serve the full requested range from this server.
     Serve(ServeOutcome),
     /// Redirect the request (HTTP 302) to an alternative server.
     Redirect,
-}
-
-// Externally tagged, matching the JSON shape the workspace has always
-// written: `{"Serve": {...}}` or `"Redirect"`.
-impl ToJson for Decision {
-    fn to_json(&self) -> Json {
-        match self {
-            Decision::Serve(o) => Json::Obj(vec![("Serve".to_string(), o.to_json())]),
-            Decision::Redirect => Json::Str("Redirect".to_string()),
-        }
-    }
-}
-
-impl FromJson for Decision {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Str(s) if s == "Redirect" => Ok(Decision::Redirect),
-            Json::Obj(fields) if fields.len() == 1 && fields[0].0 == "Serve" => {
-                Ok(Decision::Serve(ServeOutcome::from_json(&fields[0].1)?))
-            }
-            other => Err(JsonError::type_mismatch("Decision variant", other)),
-        }
-    }
 }
 
 impl Decision {
@@ -96,9 +62,7 @@ impl fmt::Display for Decision {
             Decision::Serve(o) => write!(
                 f,
                 "serve(hit={}, fill={}, evict={})",
-                o.hit_chunks,
-                o.filled_chunks,
-                o.evicted.len()
+                o.hit_chunks, o.filled_chunks, o.evicted_chunks
             ),
             Decision::Redirect => write!(f, "redirect"),
         }
@@ -108,14 +72,13 @@ impl fmt::Display for Decision {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::VideoId;
 
     #[test]
     fn predicates_partition_decisions() {
         let serve = Decision::Serve(ServeOutcome {
             hit_chunks: 2,
             filled_chunks: 1,
-            evicted: vec![ChunkId::new(VideoId(9), 0)],
+            evicted_chunks: 1,
         });
         assert!(serve.is_serve() && !serve.is_redirect());
         assert!(Decision::Redirect.is_redirect() && !Decision::Redirect.is_serve());
@@ -126,7 +89,7 @@ mod tests {
         let o = ServeOutcome {
             hit_chunks: 3,
             filled_chunks: 4,
-            evicted: vec![],
+            evicted_chunks: 0,
         };
         assert_eq!(o.served_chunks(), 7);
     }
@@ -143,7 +106,7 @@ mod tests {
         let serve = Decision::Serve(ServeOutcome {
             hit_chunks: 1,
             filled_chunks: 2,
-            evicted: vec![ChunkId::new(VideoId(3), 4)],
+            evicted_chunks: 1,
         });
         assert_eq!(serve.to_string(), "serve(hit=1, fill=2, evict=1)");
         assert_eq!(Decision::Redirect.to_string(), "redirect");

@@ -284,7 +284,7 @@ mod tests {
         let serve = Decision::Serve(ServeOutcome {
             hit_chunks: 2,
             filled_chunks: 1,
-            evicted: vec![],
+            evicted_chunks: 0,
         });
         let d = TrafficCounter::of_decision(&serve, 3, k);
         assert_eq!((d.hit_bytes, d.fill_bytes, d.redirect_bytes), (200, 100, 0));

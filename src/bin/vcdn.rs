@@ -11,7 +11,7 @@
 //! dependency set minimal); every subcommand validates its inputs and
 //! exits with a readable error.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use vcdn::cache::{
@@ -24,7 +24,7 @@ use vcdn::sim::{ReplayConfig, Replayer};
 use vcdn::trace::{
     load_binary, save_binary, stats::trace_stats, ServerProfile, Trace, TraceGenerator,
 };
-use vcdn::types::{ChunkSize, CostModel, DurationMs};
+use vcdn::types::{json::FromJson, ChunkSize, CostModel, DurationMs};
 
 const USAGE: &str = "\
 vcdn — video-CDN cache simulation (EuroSys'14 reproduction)
@@ -193,6 +193,44 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+fn read_snapshot<T: FromJson>(path: &Path) -> Result<T, String> {
+    let json = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    vcdn::types::json::from_str(&json).map_err(|e| format!("parse snapshot: {e}"))
+}
+
+/// A restored cache keeps the chunk size, cost model and capacity its
+/// snapshot was saved with, so the replay flags must describe that cache.
+/// Names the first disagreeing flag with both values.
+fn check_restored(cache: &dyn CachePolicy, args: &Args, flags: &CacheConfig) -> Result<(), String> {
+    let mismatch = |flag: &str, snapshot: String, given: String| {
+        Err(format!(
+            "--{flag}: the snapshot was saved with {snapshot}, the flags give {given}"
+        ))
+    };
+    if cache.chunk_size() != flags.chunk_size {
+        let mib = |k: ChunkSize| format!("{} MiB chunks", k.bytes() as f64 / (1024.0 * 1024.0));
+        return mismatch("chunk-mb", mib(cache.chunk_size()), mib(flags.chunk_size));
+    }
+    if cache.costs() != flags.costs {
+        let alpha = |c: CostModel| format!("alpha {}", c.alpha());
+        return mismatch("alpha", alpha(cache.costs()), alpha(flags.costs));
+    }
+    if cache.disk_capacity_chunks() != flags.disk_chunks {
+        let flag = if args.get("disk-chunks").is_some() {
+            "disk-chunks"
+        } else {
+            "disk-gb"
+        };
+        let chunks = |n: u64| format!("{n} disk chunks");
+        return mismatch(
+            flag,
+            chunks(cache.disk_capacity_chunks()),
+            chunks(flags.disk_chunks),
+        );
+    }
+    Ok(())
+}
+
 fn cmd_replay(args: &Args) -> Result<(), String> {
     let trace = load_trace(args)?;
     let k = chunk_size(args, 2)?;
@@ -225,11 +263,10 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         "cafe" => {
             let mut cache = match &load_state {
                 Some(p) => {
-                    let json =
-                        std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-                    let snap = vcdn::types::json::from_str(&json)
-                        .map_err(|e| format!("parse snapshot: {e}"))?;
-                    CafeCache::restore(&snap).map_err(|e| e.to_string())?
+                    let cache =
+                        CafeCache::restore(&read_snapshot(p)?).map_err(|e| e.to_string())?;
+                    check_restored(&cache, args, &cache_cfg)?;
+                    cache
                 }
                 None => CafeCache::new(CafeConfig::new(disk_chunks, k, costs)),
             };
@@ -243,11 +280,10 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         "xlru" => {
             let mut cache = match &load_state {
                 Some(p) => {
-                    let json =
-                        std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-                    let snap = vcdn::types::json::from_str(&json)
-                        .map_err(|e| format!("parse snapshot: {e}"))?;
-                    XlruCache::restore(&snap).map_err(|e| e.to_string())?
+                    let cache =
+                        XlruCache::restore(&read_snapshot(p)?).map_err(|e| e.to_string())?;
+                    check_restored(&cache, args, &cache_cfg)?;
+                    cache
                 }
                 None => XlruCache::new(cache_cfg),
             };

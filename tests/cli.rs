@@ -277,3 +277,87 @@ fn snapshot_save_and_load_through_cli() {
     std::fs::remove_file(&trace_path).ok();
     std::fs::remove_file(&state_path).ok();
 }
+
+/// Saves a Cafe snapshot at `--alpha 2 --disk-chunks 64` (2 MiB chunks)
+/// and returns the trace and state paths.
+fn saved_cafe_state(tag: &str) -> (PathBuf, PathBuf) {
+    let trace_path = temp_trace(&format!("{tag}-trace.jsonl"));
+    let state_path = temp_trace(&format!("{tag}-state.json"));
+    let tp = trace_path.to_str().expect("utf-8");
+    let sp = state_path.to_str().expect("utf-8");
+    vcdn(&["gen", "--days", "1", "--seed", "3", "--out", tp]);
+    let out = vcdn(&[
+        "replay",
+        "--trace",
+        tp,
+        "--algo",
+        "cafe",
+        "--alpha",
+        "2",
+        "--disk-chunks",
+        "64",
+        "--save-state",
+        sp,
+    ]);
+    assert!(out.status.success(), "save-state: {}", stderr(&out));
+    (trace_path, state_path)
+}
+
+/// Reloads the snapshot saved by [`saved_cafe_state`] with `flags`
+/// instead of the flags it was saved with; the replay must fail with exit
+/// code 1 (an error, not a panic) and an error naming the flag and both
+/// values.
+fn reload_with(tag: &str, flags: &[&str], expected: &[&str]) {
+    let (trace_path, state_path) = saved_cafe_state(tag);
+    let tp = trace_path.to_str().expect("utf-8");
+    let sp = state_path.to_str().expect("utf-8");
+    let mut args = vec![
+        "replay",
+        "--trace",
+        tp,
+        "--algo",
+        "cafe",
+        "--load-state",
+        sp,
+    ];
+    args.extend_from_slice(flags);
+    let out = vcdn(&args);
+    assert_eq!(out.status.code(), Some(1), "{flags:?}: {}", stderr(&out));
+    let err = stderr(&out);
+    for needle in expected {
+        assert!(
+            err.contains(needle),
+            "{flags:?}: missing '{needle}' in {err}"
+        );
+    }
+    std::fs::remove_file(&trace_path).ok();
+    std::fs::remove_file(&state_path).ok();
+}
+
+#[test]
+fn load_state_rejects_a_different_alpha() {
+    // No --alpha means the default 1.0, not the snapshot's 2.
+    reload_with(
+        "alpha-mismatch",
+        &["--disk-chunks", "64"],
+        &["--alpha", "alpha 2", "alpha 1"],
+    );
+}
+
+#[test]
+fn load_state_rejects_a_different_chunk_size() {
+    reload_with(
+        "chunk-mismatch",
+        &["--alpha", "2", "--disk-chunks", "64", "--chunk-mb", "4"],
+        &["--chunk-mb", "2 MiB", "4 MiB"],
+    );
+}
+
+#[test]
+fn load_state_rejects_a_different_disk_size() {
+    reload_with(
+        "disk-mismatch",
+        &["--alpha", "2", "--disk-chunks", "8"],
+        &["--disk-chunks", "64 disk chunks", "8 disk chunks"],
+    );
+}
